@@ -15,26 +15,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cpmaps import ChoiMap, permute_factors, structural
-from .errors import (FlatnessError, InconsistencyError, InvalidDimensionError,
-                     MorphismError, ShapeMismatchError)
+from .errors import (FlatnessError, InvalidDimensionError, MorphismError,
+                     ShapeMismatchError)
 from .hermspace import (AffineSubspace, check_hermitian, coords_to_herm,
                         herm_to_coords, min_eig, psd_check, vec_identity)
 from .tolerances import TOLS
 
 
-def _norm_factors(dims) -> tuple[int, ...]:
+def _wire_dims(dims) -> tuple[int, ...]:
+    """Factor dims with the trivial factors dropped; they carry no state space."""
     dims = tuple(int(d) for d in dims)
     if any(d < 1 for d in dims):
         raise InvalidDimensionError(f"factor dimensions must be positive, got {dims}")
-    # trivial factors carry no state space; the unit type has an empty list
     return tuple(d for d in dims if d > 1)
-
-
-def _prod(dims) -> int:
-    out = 1
-    for d in dims:
-        out *= int(d)
-    return out
 
 
 class CausObject:
@@ -43,8 +36,8 @@ class CausObject:
     def __init__(self, factor_dims, states: AffineSubspace, *,
                  effects: AffineSubspace | None = None, label: str = "obj",
                  dual_of: "CausObject | None" = None):
-        self.factor_dims = _norm_factors(factor_dims)
-        self.dim = _prod(self.factor_dims)
+        self.factor_dims = _wire_dims(factor_dims)
+        self.dim = math.prod(self.factor_dims)
         if states.matrix_dim != self.dim:
             raise ShapeMismatchError(
                 f"state hull lives on dim {states.matrix_dim}, factors give {self.dim}")
@@ -231,16 +224,12 @@ def member(obj: CausObject, mat: np.ndarray, tol: float | None = None) -> bool:
 
 def membership_report(obj: CausObject, mat: np.ndarray,
                       tol: float | None = None) -> dict:
-    mat = check_hermitian(mat, tol=max(TOLS.herm, tol or TOLS.sub))
-    if mat.shape[0] != obj.dim:
-        raise ShapeMismatchError(
-            f"state of dim {mat.shape[0]} offered to type of dim {obj.dim}")
-    me = min_eig(mat)
-    dist = obj.states.distance(herm_to_coords(mat))
+    """The verdict of :func:`member` with the measurements behind it."""
+    verdict = member(obj, mat, tol)
     return {
-        "member": bool(psd_check(mat, tol) and obj.states.contains(mat, tol)),
-        "min_eigenvalue": me,
-        "affine_distance": dist,
+        "member": verdict,
+        "min_eigenvalue": min_eig(mat),
+        "affine_distance": obj.states.distance(herm_to_coords(mat)),
         "first_order": obj.first_order,
         "flat_lambda": obj.flat_lambda,
     }
@@ -276,18 +265,6 @@ def check_morphism(f: ChoiMap, a: CausObject, b: CausObject,
 def cup_state(d: int) -> np.ndarray:
     """Unnormalized maximally entangled state matrix on a doubled system."""
     return structural("cup", d).J
-
-
-def alpha_scalar(a: CausObject, *, verify: bool = True,
-                 tol: float | None = None) -> float:
-    """Scaling that makes the entangled pair a state of ``a`` paired with all states."""
-    alpha = a.flat_lambda
-    if verify:
-        p = par_obj(a, mk_all_states(a))
-        if not member(p, alpha * cup_state(a.dim), tol):
-            raise InconsistencyError(
-                f"no consistent pair-state scaling for {a.label!r}")
-    return alpha
 
 
 # -- large-composite membership ----------------------------------------------
@@ -379,11 +356,6 @@ def objects_equal(a: CausObject, b: CausObject, tol: float | None = None) -> boo
 
 # -- bridges between process matrices and hom states ---------------------------
 
-def _choi_dims(dims) -> tuple[int, ...]:
-    dims = tuple(int(d) for d in dims if int(d) > 1)
-    return dims if dims else (1,)
-
-
 def state_of_choi(cm: ChoiMap) -> np.ndarray:
     """Reorder a process matrix to hom-state layout (input block first)."""
     return permute_factors(cm.J, (cm.d_out, cm.d_in), [1, 0])
@@ -391,10 +363,10 @@ def state_of_choi(cm: ChoiMap) -> np.ndarray:
 
 def choi_of_state(mat: np.ndarray, in_dims, out_dims, *,
                   validate: bool = False) -> ChoiMap:
-    in_dims = _choi_dims(in_dims)
-    out_dims = _choi_dims(out_dims)
-    di = _prod(in_dims)
-    do = _prod(out_dims)
+    in_dims = _wire_dims(in_dims) or (1,)
+    out_dims = _wire_dims(out_dims) or (1,)
+    di = math.prod(in_dims)
+    do = math.prod(out_dims)
     if mat.shape[0] != di * do:
         raise ShapeMismatchError(
             f"state dim {mat.shape[0]} does not match {di} -> {do}")

@@ -11,17 +11,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 import numpy as np
 
-from .causobj import (alpha_scalar, check_morphism, cup_state,
-                      membership_report, mk_all_states, mk_unit, CausMorphism)
-from .cpmaps import ChoiMap, act_on_factors
+from .causobj import CausMorphism, check_morphism, membership_report
+from .cpmaps import ChoiMap
 from .dsl import Hom, Par, Seq, Tensor, TypeExpr, elaborate, parse_type, print_type
-from .embedding import (BlackBoxTransform, F_eval, F_mor, fullness_reconstruct,
-                        law_suite, transform_of_morphism)
+from .embedding import (BlackBoxTransform, F_eval, F_mor, _transpose_box,
+                        fullness_reconstruct, law_suite, transform_of_morphism)
 from .errors import (CaustykError, ElaborationError, HermiticityError,
                      InconsistencyError, InvalidDimensionError, MorphismError,
                      NotOneWayError, ShapeMismatchError, TypeSyntaxError)
@@ -77,8 +77,8 @@ def _two_party(tree: TypeExpr):
 
 
 def _retyped(cm: ChoiMap, in_dims, out_dims) -> ChoiMap:
-    want_in = int(np.prod(in_dims)) if in_dims else 1
-    want_out = int(np.prod(out_dims)) if out_dims else 1
+    want_in = math.prod(in_dims)
+    want_out = math.prod(out_dims)
     if cm.d_in != want_in or cm.d_out != want_out:
         raise ShapeMismatchError(
             f"file holds a {cm.d_in}->{cm.d_out} map, the type wants "
@@ -106,7 +106,7 @@ def _cmd_typeinfo(args) -> int:
         "state_rank": int(obj.states.rank()),
         "effect_rank": int(obj.effects.rank()),
         "flat_lambda": float(obj.flat_lambda),
-        "alpha": float(alpha_scalar(obj, verify=False)),
+        "alpha": float(obj.flat_lambda),
     })
     return 0
 
@@ -224,17 +224,9 @@ def _cmd_laws(args) -> int:
     return 0 if all(r["pass"] for r in records) else 1
 
 
-def _swap_matrix(d: int) -> np.ndarray:
-    sw = np.zeros((d * d, d * d))
-    for i in range(d):
-        for j in range(d):
-            sw[i * d + j, j * d + i] = 1.0
-    return sw
-
-
 def _payload_choi(script: dict, a, b) -> ChoiMap:
     cm = choi_from_json(script["choi"])
-    if int(np.prod(cm.in_dims)) != a.dim or int(np.prod(cm.out_dims)) != b.dim:
+    if cm.d_in != a.dim or cm.d_out != b.dim:
         raise ShapeMismatchError(
             f"probe-script choi maps {cm.in_dims}->{cm.out_dims} but the "
             f"declared types have dims {a.dim}->{b.dim}")
@@ -248,16 +240,7 @@ def _scripted_box(script: dict, a, b) -> BlackBoxTransform:
         return transform_of_morphism(
             CausMorphism(map=cm, source=a, target=b), label="scripted")
     if mode == "transpose":
-        if a.dim != b.dim:
-            raise ShapeMismatchError(
-                "transpose probe needs equal source and target dims")
-        tr = ChoiMap((a.dim,), (a.dim,), _swap_matrix(a.dim), validate=False)
-
-        def transposed(x, xp, t):
-            return act_on_factors(t, (x.dim, a.dim, xp.dim), 1, 1, tr)
-
-        return BlackBoxTransform(fn=transposed, source=a, target=b,
-                                 label="transpose")
+        return _transpose_box(a, b)
     if mode == "constant":
         def constant(x, xp, t):
             img = F_eval(b, x, xp)

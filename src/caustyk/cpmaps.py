@@ -13,7 +13,6 @@ the only places where multi-index arithmetic happens.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,10 +25,6 @@ from .errors import (
 )
 from .hermspace import check_hermitian, min_eig, psd_check
 from .tolerances import TOLS
-
-
-def _prod(dims) -> int:
-    return int(math.prod(dims)) if len(dims) else 1
 
 
 def _check_dims(dims) -> tuple[int, ...]:
@@ -53,7 +48,7 @@ def permute_factors(mat: np.ndarray, dims, perm) -> np.ndarray:
     perm = list(perm)
     if sorted(perm) != list(range(len(dims))):
         raise ShapeMismatchError(f"{perm} is not a permutation of {len(dims)} factors")
-    d = _prod(dims)
+    d = math.prod(dims)
     mat = np.asarray(mat)
     if mat.shape != (d, d):
         raise ShapeMismatchError(f"matrix shape {mat.shape} does not match dims {dims}")
@@ -72,16 +67,9 @@ def partial_trace(mat: np.ndarray, dims, keep) -> np.ndarray:
     drop = [i for i in range(len(dims)) if i not in keep]
     perm = keep + drop
     moved = permute_factors(mat, dims, perm)
-    dk = _prod([dims[i] for i in keep])
-    dd = _prod([dims[i] for i in drop])
+    dk = math.prod([dims[i] for i in keep])
+    dd = math.prod([dims[i] for i in drop])
     return np.einsum('aibi->ab', moved.reshape(dk, dd, dk, dd))
-
-
-def kron_all(mats) -> np.ndarray:
-    out = np.eye(1)
-    for m in mats:
-        out = np.kron(out, m)
-    return out
 
 
 def _cup_vec(d: int) -> np.ndarray:
@@ -116,11 +104,11 @@ class ChoiMap:
 
     @property
     def d_out(self) -> int:
-        return _prod(self.out_dims)
+        return math.prod(self.out_dims)
 
     @property
     def d_in(self) -> int:
-        return _prod(self.in_dims)
+        return math.prod(self.in_dims)
 
     @property
     def factor_dims(self) -> tuple[int, ...]:
@@ -136,7 +124,7 @@ class ChoiMap:
     @classmethod
     def from_transfer(cls, T: np.ndarray, out_dims, in_dims, *, validate: bool = True):
         out_dims, in_dims = _check_dims(out_dims), _check_dims(in_dims)
-        do, di = _prod(out_dims), _prod(in_dims)
+        do, di = math.prod(out_dims), math.prod(in_dims)
         J = np.asarray(T).reshape(do, do, di, di).transpose(0, 2, 1, 3) \
             .reshape(do * di, do * di)
         return cls(out_dims, in_dims, J, validate=validate)
@@ -210,7 +198,7 @@ class ChoiMap:
         if pos < 0 or pos + count > len(self.out_dims):
             raise ShapeMismatchError("output factor block out of range")
         sel = self.out_dims[pos:pos + count]
-        if _prod(sel) != chan.d_in:
+        if math.prod(sel) != chan.d_in:
             raise ShapeMismatchError(
                 f"block dims {sel} do not match channel input {chan.in_dims}")
         J = act_on_factors(self.J, self.factor_dims, pos, count, chan)
@@ -229,25 +217,17 @@ def act_on_factors(mat: np.ndarray, dims, pos: int, count: int, chan: ChoiMap) -
     """
     dims = _check_dims(dims)
     sel = dims[pos:pos + count]
-    if _prod(sel) != chan.d_in:
+    if math.prod(sel) != chan.d_in:
         raise ShapeMismatchError(f"block {sel} does not match channel input {chan.in_dims}")
-    dl = _prod(dims[:pos])
-    dm = _prod(sel)
-    dr = _prod(dims[pos + count:])
+    dl = math.prod(dims[:pos])
+    dm = math.prod(sel)
+    dr = math.prod(dims[pos + count:])
     do = chan.d_out
     m6 = np.asarray(mat).reshape(dl, dm, dr, dl, dm, dr)
     t4 = chan.J.reshape(do, dm, do, dm).transpose(0, 2, 1, 3)
     out = np.einsum('tusv,asbrvq->atbruq', t4, m6)
     dtot = dl * do * dr
     return out.reshape(dtot, dtot)
-
-
-def choi_close(a: ChoiMap, b: ChoiMap, tol: float | None = None) -> bool:
-    tol = TOLS.roundtrip if tol is None else tol
-    if a.d_in != b.d_in or a.d_out != b.d_out:
-        return False
-    scale = max(float(np.max(np.abs(a.J))), float(np.max(np.abs(b.J))), 1.0)
-    return float(np.max(np.abs(a.J - b.J))) <= tol * scale
 
 
 def transpose_channel(cm: ChoiMap) -> ChoiMap:
@@ -279,11 +259,6 @@ def choi_of_kraus(kraus, in_dim: int, out_dim: int) -> ChoiMap:
         v = K.reshape(-1)
         J += np.outer(v, v.conj())
     return ChoiMap((out_dim,), (in_dim,), J, validate=False)
-
-
-def apply(choi, rho: np.ndarray) -> np.ndarray:
-    """Functional form of :meth:`ChoiMap.apply`."""
-    return choi.apply(rho)
 
 
 def structural(kind: str, *dims: int) -> ChoiMap:
@@ -336,9 +311,9 @@ class Isometry:
         self.in_dim = int(in_dim)
         self.out_dims = _check_dims(out_dims)
         v = np.asarray(v, dtype=complex)
-        if v.shape != (_prod(self.out_dims), self.in_dim):
+        if v.shape != (self.d_out, self.in_dim):
             raise ShapeMismatchError(
-                f"isometry shape {v.shape}, expected {(_prod(self.out_dims), self.in_dim)}")
+                f"isometry shape {v.shape}, expected {(self.d_out, self.in_dim)}")
         gram = v.conj().T @ v
         dev = float(np.max(np.abs(gram - np.eye(self.in_dim))))
         if dev > 1e-9 * max(1.0, float(np.max(np.abs(gram)))):
@@ -351,7 +326,7 @@ class Isometry:
 
     @property
     def d_out(self) -> int:
-        return _prod(self.out_dims)
+        return math.prod(self.out_dims)
 
     def as_choi(self) -> ChoiMap:
         w = self.v.reshape(-1)
@@ -396,8 +371,8 @@ def dilation_isometry(p1: Isometry, p2: Isometry, tol: float | None = None) -> I
     tol = TOLS.roundtrip if tol is None else tol
     if p1.in_dim != p2.in_dim:
         raise ShapeMismatchError("dilations have different input dimensions")
-    sys1, e1 = _prod(p1.out_dims[:-1]), p1.out_dims[-1]
-    sys2, e2 = _prod(p2.out_dims[:-1]), p2.out_dims[-1]
+    sys1, e1 = math.prod(p1.out_dims[:-1]), p1.out_dims[-1]
+    sys2, e2 = math.prod(p2.out_dims[:-1]), p2.out_dims[-1]
     if sys1 != sys2:
         raise ShapeMismatchError("dilations have different system outputs")
     c1 = p1.as_choi().marginal(list(range(len(p1.out_dims) - 1)))
@@ -440,7 +415,7 @@ def conditional_expectation(proj: np.ndarray, omega: np.ndarray) -> ChoiMap:
 
 
 def shadow(sigma: ChoiMap, dil: Isometry, mediator_dim: int,
-           relation: ChoiMap | None = None, *, require: bool = True,
+           relation: ChoiMap | None = None, *,
            tol: float | None = None) -> tuple[ChoiMap, dict]:
     """Idempotent shadow of a dilation on its mediator block.
 
@@ -450,9 +425,8 @@ def shadow(sigma: ChoiMap, dil: Isometry, mediator_dim: int,
     returned channel ``pi`` is trace preserving and idempotent, absorbs into
     the dilation (``(id (x) pi) . dil = dil``), and, when ``relation`` is
     given, satisfies ``sigma . pi = relation . pi`` — the two defining
-    absorption equations. Residuals for all of these are reported; if
-    ``require`` is set, exceeding tolerance raises
-    :class:`ShadowNotFoundError`.
+    absorption equations. Residuals for all of these are reported; exceeding
+    tolerance raises :class:`ShadowNotFoundError`.
     """
     tol = TOLS.roundtrip if tol is None else tol
     if sigma.d_in % mediator_dim:
@@ -489,28 +463,16 @@ def shadow(sigma: ChoiMap, dil: Isometry, mediator_dim: int,
         rhs = relation.compose(pi_ext, validate=False)
         scale = max(float(np.max(np.abs(lhs.J))), 1.0)
         residuals["absorb_relation"] = float(np.max(np.abs(lhs.J - rhs.J))) / scale
-    if require:
-        bad = {k: v for k, v in residuals.items() if v > max(tol, 1e-8) * 100}
-        if bad:
-            raise ShadowNotFoundError(
-                f"absorption equations violated: {bad}", residuals=residuals)
+    bad = {k: v for k, v in residuals.items() if v > max(tol, 1e-8) * 100}
+    if bad:
+        raise ShadowNotFoundError(
+            f"absorption equations violated: {bad}", residuals=residuals)
     return pi, residuals
 
 
 # ---------------------------------------------------------------------------
 # classical control
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ClassicalObject:
-    """An ``n``-outcome classical system: the diagonal subalgebra of C^n."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise InvalidDimensionError(f"classical arity must be positive, got {self.n}")
-
 
 def ctrl(states, *, tol: float | None = None) -> ChoiMap:
     """Classically controlled preparation ``x -> sum_i <i|x|i> rho_i``.

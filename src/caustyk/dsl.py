@@ -11,7 +11,7 @@ Grammar, loosest binding first::
 All infix operators associate to the left.  The precedence order
 ``^ > * > < > @`` follows the state-set containment of the three
 products: tensor states sit inside seq states sit inside par states.
-Dimension literals must be positive.
+Dimension literals are ASCII digits and must be positive.
 """
 
 from __future__ import annotations
@@ -81,6 +81,7 @@ class Hom(TypeExpr):
 
 _ALIASES = {"⊗": "*", "⅋": "@", "◁": "<"}
 _SYMBOLS = set("*@<^()[],")
+_DIGITS = set("0123456789")     # str.isdigit also takes other scripts' digits
 
 
 @dataclass(frozen=True)
@@ -113,9 +114,9 @@ def _tokenize(text: str) -> list[_Token]:
             pos += 1
             byte += width
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             start, bstart = pos, byte
-            while pos < n and text[pos].isdigit():
+            while pos < n and text[pos] in _DIGITS:
                 pos += 1
                 byte += 1
             toks.append(_Token("int", text[start:pos], start, bstart))
@@ -123,8 +124,8 @@ def _tokenize(text: str) -> list[_Token]:
         if ch.isalpha():
             start, bstart = pos, byte
             while pos < n and text[pos].isalpha():
+                byte += len(text[pos].encode("utf-8"))
                 pos += 1
-                byte += 1
             toks.append(_Token("name", text[start:pos], start, bstart))
             continue
         raise TypeSyntaxError(f"unexpected character {ch!r}", pos, byte,

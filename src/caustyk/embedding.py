@@ -14,12 +14,13 @@ instances.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .causobj import (CausMorphism, CausObject, alpha_scalar, check_morphism,
+from .causobj import (CausMorphism, CausObject, _wire_dims, check_morphism,
                       choi_of_state, cup_state, dual_obj, hom_obj,
                       interchange_check, member, mk_all_states, mk_classical,
                       mk_first_order, mk_unit, objects_equal, par_obj,
@@ -42,10 +43,6 @@ REBEND_TOL = 1e-9
 
 # keep randomly probed composites at desk scale
 _DIM_CAP = 64
-
-
-def _wire_facs(dims) -> tuple[int, ...]:
-    return tuple(d for d in dims if d > 1)
 
 
 def _rel(delta: np.ndarray, ref: np.ndarray) -> float:
@@ -208,13 +205,13 @@ def lax_seq(pair: DecompPair) -> np.ndarray:
     """
     cm = recompose(pair)
     st = state_of_choi(cm)
-    ins = _wire_facs(cm.in_dims)
-    outs = _wire_facs(cm.out_dims)
+    ins = _wire_dims(cm.in_dims)
+    outs = _wire_dims(cm.out_dims)
     dims = ins + outs
     if not dims:
         return st
-    nri = len(_wire_facs(pair.rho.in_dims))
-    nro = len(_wire_facs(pair.rho.out_dims[:-1]))
+    nri = len(_wire_dims(pair.rho.in_dims))
+    nro = len(_wire_dims(pair.rho.out_dims[:-1]))
     ni = len(ins)
     idx = (list(range(nri)) + list(range(ni, ni + nro))
            + list(range(nri, ni)) + list(range(ni + nro, len(dims))))
@@ -241,7 +238,7 @@ def inverse_seq(tau: np.ndarray, a: CausObject, b: CausObject,
         raise ShapeMismatchError("the first middle slot needs an output wire")
     tau = np.asarray(tau)
     dims = fx + fa + fb + fxp
-    total = int(np.prod(dims)) if dims else 1
+    total = math.prod(dims)
     if tau.shape != (total, total):
         raise ShapeMismatchError(
             f"element is {tau.shape}, typing wants ({total}, {total})")
@@ -277,7 +274,7 @@ def faithfulness_probe(f: CausMorphism, g: CausMorphism,
         return True
     tol = PROBE_TOL if tol is None else tol
     a = f.source
-    alpha = alpha_scalar(a, verify=False)
+    alpha = a.flat_lambda
     probe = alpha * cup_state(a.dim)
     u, allo = mk_unit(), mk_all_states(a)
     delta = F_mor(f, u, allo, probe) - F_mor(g, u, allo, probe)
@@ -303,6 +300,19 @@ class BlackBoxTransform:
     def __call__(self, x: CausObject, xp: CausObject,
                  element: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(x, xp, element))
+
+
+def _transpose_box(a: CausObject, b: CausObject) -> BlackBoxTransform:
+    """The partial transpose on the middle slot: linear and natural, not CP."""
+    if a.dim != b.dim:
+        raise ShapeMismatchError(
+            "transpose probe needs equal source and target dims")
+    d = a.dim
+    swap = np.eye(d * d).reshape(d, d, d * d).transpose(1, 0, 2)
+    tr = ChoiMap((d,), (d,), swap.reshape(d * d, d * d), validate=False)
+    return BlackBoxTransform(
+        fn=lambda x, xp, t: act_on_factors(t, (x.dim, d, xp.dim), 1, 1, tr),
+        source=a, target=b, label="transpose")
 
 
 def transform_of_morphism(f: CausMorphism,
@@ -346,7 +356,7 @@ def fullness_reconstruct(S: BlackBoxTransform, a: CausObject, b: CausObject,
     """
     tol = AGREE_TOL if tol is None else tol
     rng = rng_from(0 if rng is None else rng)
-    alpha = alpha_scalar(a, verify=False)
+    alpha = a.flat_lambda
     u, allo = mk_unit(), mk_all_states(a)
     got = S(u, allo, alpha * cup_state(a.dim))
     n = b.dim * a.dim
@@ -668,16 +678,7 @@ def law_suite(seed=0, budget="small") -> list[dict]:
         ok = rep.ok and _rel(rep.morphism.map.J - h.map.J, h.map.J) <= AGREE_TOL
         rec("fullness_roundtrip", (a.label, b.label, t), ok, r)
 
-        d = a.dim
-        sw = np.zeros((d * d, d * d))
-        for i in range(d):
-            for j in range(d):
-                sw[i * d + j, j * d + i] = 1.0
-        impostor = BlackBoxTransform(
-            fn=lambda x, xp, m, _c=ChoiMap((d,), (d,), sw, validate=False):
-                act_on_factors(m, (x.dim, d, xp.dim), 1, 1, _c),
-            source=a, target=a, label="transpose")
-        rep2 = fullness_reconstruct(impostor, a, a, rng=rng, probes=1)
+        rep2 = fullness_reconstruct(_transpose_box(a, a), a, a, rng=rng, probes=1)
         rec("fullness_rejects_noncp", (a.label, t),
             rep2.status == "not_in_image", rep2.residual)
 

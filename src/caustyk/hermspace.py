@@ -54,7 +54,7 @@ def check_hermitian(mat: np.ndarray, tol: float | None = None) -> np.ndarray:
     tol = TOLS.herm if tol is None else tol
     dev = np.max(np.abs(mat - mat.conj().T)) if mat.size else 0.0
     scale = max(float(np.max(np.abs(mat))) if mat.size else 0.0, 1.0)
-    if dev > tol * scale:
+    if not dev <= tol * scale:      # NaN fails too
         raise HermiticityError(f"matrix deviates from Hermiticity by {dev:.3e}")
     return mat
 
@@ -87,13 +87,6 @@ def coords_to_herm(coords: np.ndarray, n: int) -> np.ndarray:
     out[..., iu, ju] = re + 1j * im
     out[..., ju, iu] = re - 1j * im
     return out
-
-
-def herm_basis(n: int) -> list[np.ndarray]:
-    """Orthonormal basis of Hermitian ``n x n`` matrices in the fixed order."""
-    n = check_dimension(n)
-    eye = np.eye(n * n)
-    return list(coords_to_herm(eye, n))
 
 
 def vec_identity(n: int) -> np.ndarray:
@@ -133,67 +126,6 @@ def _orthonormalize(rows: np.ndarray, m: int) -> np.ndarray:
     u, s, vt = np.linalg.svd(rows, full_matrices=False)
     cut = TOLS.rank_cut(s[0]) if s.size else 0.0
     return vt[s > cut]
-
-
-class LinearSubspace:
-    """A linear subspace of Hermitian coordinate space.
-
-    Attributes:
-        matrix_dim: the underlying matrix dimension ``n``.
-        coords: orthonormal basis rows, shape ``(rank, n**2)``.
-    """
-
-    def __init__(self, matrix_dim: int, coords: np.ndarray, *, orthonormal: bool = False):
-        self.matrix_dim = check_dimension(matrix_dim)
-        m = self.matrix_dim ** 2
-        coords = np.asarray(coords, dtype=float).reshape(-1, m)
-        if not orthonormal:
-            coords = _orthonormalize(coords, m)
-        else:
-            gram = coords @ coords.T
-            if coords.shape[0] and np.max(np.abs(gram - np.eye(coords.shape[0]))) > 1e-8:
-                raise InconsistencyError("claimed-orthonormal basis rows are not orthonormal")
-        self.coords = coords
-
-    @property
-    def rank(self) -> int:
-        return self.coords.shape[0]
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.matrix_dim ** 2
-
-    def basis(self) -> list[np.ndarray]:
-        """Basis as a list of Hermitian matrices."""
-        return list(coords_to_herm(self.coords, self.matrix_dim))
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        return self.coords.T @ (self.coords @ x) if self.rank else np.zeros_like(x)
-
-    def contains_vec(self, x: np.ndarray, tol: float | None = None) -> bool:
-        tol = TOLS.sub if tol is None else tol
-        resid = float(np.linalg.norm(x - self.project(x)))
-        return resid <= tol * max(float(np.linalg.norm(x)), 1.0)
-
-
-def span(mats, tol: float | None = None) -> LinearSubspace:
-    """Orthonormal span of a list of Hermitian matrices.
-
-    Rank decisions keep singular values above ``tol * max(sigma_max, 1)``.
-    """
-    mats = list(mats)
-    if not mats:
-        raise InvalidDimensionError("span() of an empty list has no ambient dimension; "
-                                    "construct LinearSubspace(n, []) directly")
-    n = np.asarray(mats[0]).shape[0]
-    arr = np.stack([check_hermitian(m) for m in mats])
-    if arr.shape[1] != n or any(np.asarray(m).shape != (n, n) for m in mats):
-        raise ShapeMismatchError("span() requires matrices of a single dimension")
-    coords = herm_to_coords(arr)
-    u, s, vt = np.linalg.svd(coords, full_matrices=False)
-    tol = TOLS.sub if tol is None else tol
-    cut = tol * max(float(s[0]) if s.size else 0.0, 1.0)
-    return LinearSubspace(n, vt[s > cut], orthonormal=True)
 
 
 # ---------------------------------------------------------------------------
@@ -239,15 +171,13 @@ class AffineSubspace:
         return cls(n, base=base, dirs=dirs)
 
     @classmethod
-    def from_span_coords(cls, matrix_dim: int, base: np.ndarray, dirs: np.ndarray,
-                         *, canonical: bool = False) -> "AffineSubspace":
+    def from_span_coords(cls, matrix_dim: int, base: np.ndarray,
+                         dirs: np.ndarray) -> "AffineSubspace":
         m = matrix_dim * matrix_dim
-        dirs = np.asarray(dirs, dtype=float).reshape(-1, m)
+        dirs = _orthonormalize(dirs, m)
         base = np.asarray(base, dtype=float).reshape(m)
-        if not canonical:
-            dirs = _orthonormalize(dirs, m)
-            if dirs.shape[0]:
-                base = base - dirs.T @ (dirs @ base)
+        if dirs.shape[0]:
+            base = base - dirs.T @ (dirs @ base)
         return cls(matrix_dim, base=base.copy(), dirs=dirs)
 
     @classmethod
@@ -284,10 +214,6 @@ class AffineSubspace:
 
     # -- basic data --------------------------------------------------------
 
-    @property
-    def ambient_dim(self) -> int:
-        return self._m
-
     def rank(self) -> int:
         if self._dirs is not None:
             return self._dirs.shape[0]
@@ -299,9 +225,6 @@ class AffineSubspace:
             return self._base
         return self._cons.T @ self._vals
 
-    def base_matrix(self) -> np.ndarray:
-        return coords_to_herm(self.base_vec(), self.matrix_dim)
-
     def dirs_coords(self) -> np.ndarray:
         """Orthonormal direction rows; materializes the span form if needed."""
         if self._dirs is None:
@@ -309,18 +232,6 @@ class AffineSubspace:
                 if self._cons.shape[0] else np.eye(self._m)
             self._base = self.base_vec()
         return self._dirs
-
-    def direction_matrices(self) -> list[np.ndarray]:
-        return list(coords_to_herm(self.dirs_coords(), self.matrix_dim))
-
-    def direction_space(self) -> LinearSubspace:
-        return LinearSubspace(self.matrix_dim, self.dirs_coords(), orthonormal=True)
-
-    def has_span(self) -> bool:
-        return self._dirs is not None
-
-    def has_cons(self) -> bool:
-        return self._cons is not None
 
     def cons_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Orthonormal constraint rows and values; may materialize a complement."""
@@ -481,30 +392,8 @@ class AffineSubspace:
             new_base = new_base - new_dirs.T @ (new_dirs @ new_base)
         return AffineSubspace(self.matrix_dim, base=new_base, dirs=new_dirs)
 
-    def transform_coords(self, fn) -> "AffineSubspace":
-        """Image under an orthogonal coordinate map given as a batched callable."""
-        if self._dirs is not None:
-            dirs = fn(self._dirs) if self._dirs.shape[0] else self._dirs
-            return AffineSubspace(self.matrix_dim, base=fn(self._base[None, :])[0],
-                                  dirs=dirs)
-        cons = fn(self._cons) if self._cons.shape[0] else self._cons
-        return AffineSubspace(self.matrix_dim, cons=cons, vals=self._vals.copy())
-
     def __repr__(self) -> str:
         form = "span" if self._dirs is not None else "cons"
         return (f"AffineSubspace(dim={self.matrix_dim}, rank={self.rank()}, "
                 f"form={form})")
 
-
-def affine_dual(w: AffineSubspace) -> AffineSubspace:
-    """Dual affine subspace; see :meth:`AffineSubspace.dual`."""
-    return w.dual()
-
-
-def subspace_contains(w, mat: np.ndarray, tol: float | None = None) -> bool:
-    """Whether the Hermitian matrix lies on the (linear or affine) subspace."""
-    mat = check_hermitian(mat, tol=max(TOLS.herm, tol or TOLS.sub))
-    if mat.shape[0] != w.matrix_dim:
-        raise ShapeMismatchError(
-            f"matrix dim {mat.shape[0]} does not match subspace dim {w.matrix_dim}")
-    return w.contains_vec(herm_to_coords(mat), tol)

@@ -35,6 +35,12 @@ def complex_to_json(arr: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in arr]
 
 
+def _finite(arr: np.ndarray) -> np.ndarray:
+    if not np.isfinite(arr).all():
+        raise ShapeMismatchError("matrix entries must be finite numbers")
+    return arr
+
+
 def json_to_complex(rows) -> np.ndarray:
     try:
         out = np.array([[complex(entry[0], entry[1]) for entry in row]
@@ -42,7 +48,7 @@ def json_to_complex(rows) -> np.ndarray:
     except (TypeError, IndexError) as err:
         raise ShapeMismatchError(
             "matrix entries must be [re, im] pairs") from err
-    return out
+    return _finite(out)
 
 
 def _read_sidecar(path: str) -> dict:
@@ -54,7 +60,7 @@ def _read_sidecar(path: str) -> dict:
 
 
 def _raw_read(path: str) -> np.ndarray:
-    return np.fromfile(path, dtype="<c16")
+    return _finite(np.fromfile(path, dtype="<c16"))
 
 
 def _raw_write(path: str, arr: np.ndarray) -> None:

@@ -24,11 +24,6 @@ def random_unitary(rng, d: int) -> np.ndarray:
     return q * ph
 
 
-def random_hermitian(rng, d: int, scale: float = 1.0) -> np.ndarray:
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return scale * (g + g.conj().T) / 2.0
-
-
 def random_density(rng, d: int, rank: int | None = None) -> np.ndarray:
     r = rank or d
     g = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
@@ -53,7 +48,7 @@ def random_cptp(rng, d_in: int, d_out: int, env: int | None = None) -> ChoiMap:
 
 # -- members of a type ---------------------------------------------------------
 
-def sample_member(obj: CausObject, rng, *, tries: int = 50) -> np.ndarray:
+def sample_member(obj: CausObject, rng) -> np.ndarray:
     """A state of the type: project random noise to the hull, pull toward flat.
 
     The pull keeps the point on the hull (both endpoints are) and the
@@ -62,7 +57,7 @@ def sample_member(obj: CausObject, rng, *, tries: int = 50) -> np.ndarray:
     d = obj.dim
     flat = obj.flat_lambda * np.eye(d)
     eps = obj.flat_lambda * 1e-2
-    for _ in range(tries):
+    for _ in range(50):
         raw = random_density(rng, d)
         x = obj.states.project_vec(herm_to_coords(raw))
         mat = coords_to_herm(x, d)
@@ -80,8 +75,9 @@ def sample_member(obj: CausObject, rng, *, tries: int = 50) -> np.ndarray:
 
 # -- random types ---------------------------------------------------------------
 
-def random_first_order(rng, *, max_factors: int = 2) -> CausObject:
-    n = int(rng.integers(1, max_factors + 1))
+def random_first_order(rng) -> CausObject:
+    """First-order type on one or two factors of dimension 1 to 3."""
+    n = int(rng.integers(1, 3))
     dims = [int(rng.integers(1, 4)) for _ in range(n)]
     obj = mk_first_order(dims[0])
     for d in dims[1:]:
@@ -213,19 +209,19 @@ def random_state_morphism(rng, a: CausObject, b: CausObject):
                         source=a, target=b)
 
 
-def random_channel_supermap(rng, src: CausObject, tgt: CausObject, *, parts: int = 2):
+def random_channel_supermap(rng, src: CausObject, tgt: CausObject):
     """A random map between channel types built from input and output side maps.
 
     ``src`` and ``tgt`` must be hom types over single first-order factors,
-    factor layout (input copy, output).  A convex mixture of pre/post
+    factor layout (input copy, output).  A convex mixture of two pre/post
     sandwiches stays inside the valid supermaps.
     """
     from .causobj import CausMorphism
     from .cpmaps import transpose_channel
     (ai, ao), (bi, bo) = src.factor_dims, tgt.factor_dims
-    w = rng.dirichlet(np.ones(parts))
+    w = rng.dirichlet(np.ones(2))
     j = np.zeros((tgt.dim * src.dim, tgt.dim * src.dim), dtype=complex)
-    for k in range(parts):
+    for k in range(2):
         pre = random_cptp(rng, bi, ai)          # feeds the target input wire
         post = random_cptp(rng, ao, bo)
         j = j + w[k] * transpose_channel(pre).tensor(post, validate=False).J

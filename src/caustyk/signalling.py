@@ -8,6 +8,7 @@ A two-party channel is stored with outputs (A_out..., B_out...) and inputs
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,10 +70,7 @@ def _depends_on_block(marg: ChoiMap, split: int, probe_right: bool,
     so structured channels where averaging the other block hides the
     influence (one-time-pad style) are still caught.
     """
-    dims = marg.in_dims
-    d_left = 1
-    for d in dims[:split]:
-        d_left *= d
+    d_left = math.prod(marg.in_dims[:split])
     d_right = marg.d_in // d_left
     d_probe = d_right if probe_right else d_left
     if d_probe == 1:
@@ -181,13 +179,9 @@ def comb_decompose(tau: ChoiMap, n_out_a: int, n_in_a: int,
     b_out = tau.out_dims[n_out_a:] or (1,)
     a_in = tau.in_dims[:n_in_a] or (1,)
     b_in = tau.in_dims[n_in_a:]
-    d_ao = 1
-    for d in a_out:
-        d_ao *= d
+    d_ao = math.prod(a_out)
     d_w = tau.d_out // d_ao
-    d_ai = 1
-    for d in a_in:
-        d_ai *= d
+    d_ai = math.prod(a_in)
     d_bi = tau.d_in // d_ai
 
     marg = tau.marginal(list(range(n_out_a)))        # (A_in, B_in) -> A_out
@@ -370,7 +364,7 @@ def equiv_certificate(p1: DecompPair, p2: DecompPair,
             # try a conditional-expectation collapse on the shared frame
             try:
                 pi, residuals = shadow(sigma_mid1, flatstar, zstar,
-                                       relation=sigma_mid2, require=True)
+                                       relation=sigma_mid2)
                 mid_shadow = DecompPair(
                     rho=base_rho,
                     sigma=med_precompose(sigma_mid1, pi),

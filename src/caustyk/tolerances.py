@@ -7,6 +7,7 @@ subspace tolerance (default 1e-9); the remaining thresholds scale with it.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -46,9 +47,12 @@ def _from_env() -> Tolerances:
     raw = os.environ.get("CAUSTYK_TOL")
     if raw is None:
         return Tolerances()
-    base = float(raw)
-    if base <= 0:
-        raise ValueError(f"CAUSTYK_TOL must be positive, got {raw!r}")
+    try:
+        base = float(raw)
+    except ValueError:
+        base = math.nan
+    if not (math.isfinite(base) and base > 0):
+        raise ValueError(f"CAUSTYK_TOL must be a positive finite number, got {raw!r}")
     s = base / _BASE
     return Tolerances(
         herm=1e-10 * s,

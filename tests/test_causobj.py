@@ -8,8 +8,7 @@ constructors existed, then frozen.
 import numpy as np
 import pytest
 
-from caustyk.causobj import (CausMorphism, CausObject, alpha_scalar,
-                             check_morphism, choi_of_state, cup_state,
+from caustyk.causobj import (CausMorphism, CausObject, check_morphism, choi_of_state, cup_state,
                              dual_obj, hom_obj, interchange_check, matricize,
                              member, membership_report, mk_all_states,
                              mk_classical, mk_first_order, mk_unit,
@@ -180,7 +179,10 @@ class TestComposites:
                               for m in mats])
             return herm_to_coords(moved)
 
-        assert glob.states.transform_coords(interleave).equals(p.states)
+        moved = AffineSubspace.from_span_coords(
+            16, interleave(glob.states.base_vec()[None, :])[0],
+            interleave(glob.states.dirs_coords()))
+        assert moved.equals(p.states)
 
     def test_seq_rank_frozen(self, chan, oneway_names):
         coords = herm_to_coords(oneway_names)
@@ -306,13 +308,15 @@ class TestMorphisms:
 
 class TestAlpha:
     def test_values(self, chan):
-        assert abs(alpha_scalar(mk_first_order(2)) - 0.5) < 1e-12
-        assert abs(alpha_scalar(mk_first_order(3)) - 1 / 3) < 1e-12
-        assert abs(alpha_scalar(mk_unit()) - 1.0) < 1e-12
-        assert abs(alpha_scalar(chan) - 0.5) < 1e-12
+        # the flat scalar scales the pair state into [a, all states]
+        for a, want in [(mk_first_order(2), 0.5), (mk_first_order(3), 1 / 3),
+                        (mk_unit(), 1.0), (chan, 0.5)]:
+            assert abs(a.flat_lambda - want) < 1e-12
+            assert member(par_obj(a, mk_all_states(a)),
+                          a.flat_lambda * cup_state(a.dim))
 
     def test_verification_actually_runs(self, chan):
-        # wrong scaling must fail the pair-state membership used by verify
+        # a wrongly scaled pair state is not a state of [a, all states]
         p = par_obj(chan, mk_all_states(chan))
         assert not member(p, 0.3 * cup_state(4))
 

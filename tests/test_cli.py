@@ -1,10 +1,15 @@
 """Command-line verbs, exit codes, and matrix file formats."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import caustyk
 from caustyk.causobj import cup_state
 from caustyk.cli import main
 from caustyk.cpmaps import ChoiMap
@@ -72,6 +77,9 @@ class TestMatrixIO:
     def test_bad_entries_rejected(self):
         with pytest.raises(ShapeMismatchError):
             json_to_complex([[1.0, 2.0], [3.0, 4.0]])
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ShapeMismatchError, match="finite"):
+                json_to_complex([[[1.0, 0.0], [0.0, bad]]])
 
     def test_json_file_round_trip(self, tmp_path, rng):
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -106,6 +114,17 @@ class TestMatrixIO:
         (tmp_path / "m.raw.dims").write_text(json.dumps({"shape": [3, 3]}))
         with pytest.raises(ShapeMismatchError):
             load_matrix(str(path), fmt="raw")
+
+    def test_raw_non_finite_rejected(self, tmp_path):
+        m = np.eye(2, dtype=complex)
+        m[1, 0] = np.nan
+        path = tmp_path / "m.raw"
+        save_matrix(str(path), m, fmt="raw")
+        with pytest.raises(ShapeMismatchError, match="finite"):
+            load_matrix(str(path), fmt="raw")
+        save_choi(str(path), ChoiMap((1,), (2,), m, validate=False), fmt="raw")
+        with pytest.raises(ShapeMismatchError, match="finite"):
+            load_choi(str(path), fmt="raw")
 
 
 class TestChoiIO:
@@ -486,6 +505,38 @@ class TestUsage:
         path.write_text("{not json")
         code = main(["member", "FO(2)", str(path)])
         assert code == 2
+
+    def test_non_finite_member(self, capsys, tmp_path):
+        m = np.eye(2, dtype=complex)
+        m[0, 0] = np.nan
+        path = tmp_path / "nan.json"
+        save_matrix(str(path), m)
+        code = main(["member", "FO(2)", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.count("\n") == 1 and "finite" in captured.err
+
+    def test_non_finite_decompose(self, capsys, tmp_path):
+        j = wire_comb_choi().J.copy()
+        j[3, 5] = np.nan
+        path = tmp_path / "nan.json"
+        save_choi(str(path), ChoiMap((2, 2), (2, 2), j, validate=False))
+        code = main(["decompose", f"{HOMS}<{HOMS}", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.count("\n") == 1 and "finite" in captured.err
+
+    def test_malformed_tolerance_env(self):
+        src = str(Path(caustyk.__file__).resolve().parent.parent)
+        for raw, ok in (("1e-8", True), ("nan", False), ("inf", False),
+                        ("abc", False), ("-1", False)):
+            env = dict(os.environ, CAUSTYK_TOL=raw, PYTHONPATH=src)
+            proc = subprocess.run([sys.executable, "-c", "import caustyk"],
+                                  env=env, capture_output=True, text=True,
+                                  timeout=60)
+            assert (proc.returncode == 0) == ok, proc.stderr
+            if not ok:
+                assert "ValueError: CAUSTYK_TOL must be" in proc.stderr
 
     def test_no_arguments(self, capsys):
         assert main([]) == 2

@@ -173,6 +173,14 @@ class TestErrors:
             parse_type("I ⊗")
         assert exc.value.position == 3
         assert exc.value.byte_offset == 5
+        # "ÄÖ" scans as one name of four bytes; "#" follows it
+        with pytest.raises(TypeSyntaxError) as exc:
+            parse_type("FO(2)*ÄÖ#")
+        assert (exc.value.position, exc.value.byte_offset) == (8, 10)
+        # "٣" (ARABIC-INDIC DIGIT THREE) is no digit here, so it is the error
+        with pytest.raises(TypeSyntaxError) as exc:
+            parse_type("FO(2)*ANY(٣)x")
+        assert (exc.value.position, exc.value.byte_offset) == (10, 10)
 
     def test_unexpected_character(self):
         with pytest.raises(TypeSyntaxError) as exc:
@@ -184,3 +192,7 @@ class TestErrors:
             parse_type("FO 2")
         with pytest.raises(TypeSyntaxError):
             parse_type("FO(x)")
+        for text in ("FO(٣)", "FO(²)"):    # dimensions are ASCII digits only
+            with pytest.raises(TypeSyntaxError) as exc:
+                parse_type(text)
+            assert exc.value.byte_offset == 3

@@ -20,16 +20,12 @@ from caustyk.errors import (
 )
 from caustyk.hermspace import (
     AffineSubspace,
-    LinearSubspace,
-    affine_dual,
+    check_dimension,
     check_hermitian,
     coords_to_herm,
-    herm_basis,
     herm_to_coords,
     min_eig,
     psd_check,
-    span,
-    subspace_contains,
     vec_identity,
 )
 
@@ -77,7 +73,7 @@ class TestCoordinateMap:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_basis_gram_identity(self, n):
-        basis = herm_basis(n)
+        basis = coords_to_herm(np.eye(n * n), n)
         assert len(basis) == n * n
         gram = np.array([[np.trace(a.conj().T @ b).real for b in basis]
                          for a in basis])
@@ -111,6 +107,8 @@ class TestCoordinateMap:
     def test_non_hermitian_rejected(self):
         with pytest.raises(HermiticityError):
             check_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(HermiticityError):
+            check_hermitian(np.diag([1.0, np.nan]))
 
     def test_shape_rejected(self):
         with pytest.raises(ShapeMismatchError):
@@ -135,41 +133,47 @@ class TestPsd:
 
     def test_invalid_dim(self):
         with pytest.raises(InvalidDimensionError):
-            herm_basis(0)
+            check_dimension(0)
+
+
+def linear_span(mats):
+    """The linear span of Hermitian matrices: an affine hull through zero."""
+    return AffineSubspace.from_span(np.zeros_like(mats[0]), mats)
 
 
 class TestSpan:
     def test_dependent_mats(self):
-        w = span([np.eye(2), 2 * np.eye(2)])
-        assert w.rank == 1
+        w = linear_span([np.eye(2), 2 * np.eye(2)])
+        assert w.rank() == 1
 
     def test_mixed_rank(self):
         z = np.diag([1.0, -1.0])
-        w = span([np.eye(2), z, np.eye(2) + z])
-        assert w.rank == 2
+        w = linear_span([np.eye(2), z, np.eye(2) + z])
+        assert w.rank() == 2
 
     def test_contains(self):
         z = np.diag([1.0, -1.0])
-        w = span([np.eye(2), z])
-        assert subspace_contains(w, np.diag([3.0, 1.0]))
-        assert not subspace_contains(w, np.array([[0, 1], [1, 0]], dtype=float))
+        w = linear_span([np.eye(2), z])
+        assert w.contains(np.diag([3.0, 1.0]))
+        assert not w.contains(np.array([[0, 1], [1, 0]], dtype=float))
 
     def test_empty_rejected(self):
-        with pytest.raises(InvalidDimensionError):
-            span([])
+        with pytest.raises(InconsistencyError):
+            AffineSubspace(2)       # neither span nor constraint data
 
     def test_projection(self):
         z = np.diag([1.0, -1.0])
-        w = span([z])
+        w = linear_span([z])
         x = herm_to_coords(np.array([[2.0, 1.0], [1.0, 0.0]]))
-        p = w.project(x)
+        p = w.project_vec(x)
         np.testing.assert_allclose(coords_to_herm(p, 2), z, atol=1e-12)
 
 
 def trace_one_plane(n):
     """All Hermitian matrices of unit trace, as an affine subspace."""
     base = np.eye(n) / n
-    dirs = [b - (np.trace(b).real / n) * np.eye(n) for b in herm_basis(n)]
+    basis = coords_to_herm(np.eye(n * n), n)
+    dirs = [b - (np.trace(b).real / n) * np.eye(n) for b in basis]
     return AffineSubspace.from_span(base, dirs)
 
 
@@ -177,19 +181,19 @@ class TestAffineDual:
     def test_point_identity_dualizes_to_trace_plane(self):
         # effects e with Tr(e I) = 1 form the trace-one plane
         point = AffineSubspace.from_point(np.eye(2))
-        dual = affine_dual(point)
+        dual = point.dual()
         expect = trace_one_plane(2)
         assert dual.rank() == 3
         assert dual.equals(expect)
 
     def test_trace_plane_dualizes_to_identity_point(self):
-        dual = affine_dual(trace_one_plane(2))
+        dual = trace_one_plane(2).dual()
         assert dual.rank() == 0
         assert dual.contains(np.eye(2))
 
     def test_scalar_self_dual(self):
         one = AffineSubspace.from_point(np.eye(1))
-        dual = affine_dual(one)
+        dual = one.dual()
         assert dual.rank() == 0
         assert dual.contains(np.eye(1))
 
@@ -202,7 +206,7 @@ class TestAffineDual:
             base = base / np.trace(base).real  # keep the hull flat-ish
             dirs = [random_herm(rng, n) for _ in range(k)]
             w = AffineSubspace.from_span(base, dirs)
-            again = affine_dual(affine_dual(w))
+            again = w.dual().dual()
             assert again.equals(w), f"trial {trial}: double dual changed the space"
 
     def test_antitone(self):
@@ -213,12 +217,12 @@ class TestAffineDual:
         big = AffineSubspace.from_span(base, d1 + [random_herm(rng, 3)])
         assert small.is_subset(big)
         assert not big.is_subset(small)
-        assert affine_dual(big).is_subset(affine_dual(small))
+        assert big.dual().is_subset(small.dual())
 
     def test_pairing_on_duals(self):
         rng = np.random.default_rng(17)
         w = trace_one_plane(2)
-        dual = affine_dual(w)
+        dual = w.dual()
         for _ in range(4):
             x = w.project_vec(herm_to_coords(random_herm(rng, 2)))
             y = dual.project_vec(herm_to_coords(random_herm(rng, 2)))
@@ -229,7 +233,7 @@ class TestAffineDual:
         z = np.diag([1.0, -1.0])
         w = AffineSubspace.from_span(np.zeros((2, 2)), [z])
         with pytest.raises(EmptyDualError):
-            affine_dual(w)
+            w.dual()
 
 
 class TestAffineSubspace:
@@ -265,11 +269,11 @@ class TestAffineSubspace:
         assert resid < 1e-12
 
     def test_scalar_identity_rejects_nonflat(self):
-        w = AffineSubspace.from_span(np.eye(2) / 2, list(herm_basis(2)))
+        w = AffineSubspace.from_span(np.eye(2) / 2, list(coords_to_herm(np.eye(4), 2)))
         with pytest.raises(FlatnessError):
             w.solve_scalar_identity()
 
-    def test_transform_coords(self):
+    def test_conjugation_moves_hull_onto_itself(self):
         w = trace_one_plane(2)
         # conjugation by X is orthogonal on coordinates
         x = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -278,7 +282,8 @@ class TestAffineSubspace:
             mats = coords_to_herm(rows, 2)
             return herm_to_coords(np.einsum('ab,kbc,cd->kad', x, mats, x))
 
-        moved = w.transform_coords(conj)
+        moved = AffineSubspace.from_span_coords(
+            2, conj(w.base_vec()[None, :])[0], conj(w.dirs_coords()))
         assert moved.equals(w)  # the trace plane is conjugation invariant
 
     def test_distance(self):
@@ -301,9 +306,9 @@ def test_dual_involution_property(n, k, seed):
     base = base / tr
     dirs = [random_herm(rng, n) for _ in range(k)]
     w = AffineSubspace.from_span(base, dirs)
-    dd = affine_dual(affine_dual(w))
+    dd = w.dual().dual()
     assert dd.equals(w)
-    assert w.rank() + affine_dual(w).rank() == n * n - 1
+    assert w.rank() + w.dual().rank() == n * n - 1
 
 
 @settings(max_examples=25, deadline=None)
