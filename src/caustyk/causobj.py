@@ -9,6 +9,7 @@ closed under double dualization, which is what makes them compose.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -141,24 +142,77 @@ def dual_obj(a: CausObject) -> CausObject:
 _GRID_LIMIT = 250_000
 
 
+@functools.lru_cache(maxsize=64)
+def _kron_terms(na: int, nb: int) -> tuple[np.ndarray, ...]:
+    """How each coordinate of kron(X, Y) comes from coordinates of X and Y.
+
+    Every coordinate of an ``na*nb``-dim Kronecker product is ``c1 x[i1]
+    y[j1] + c2 x[i2] y[j2]`` (``c2 = 0`` when one term suffices); returns
+    ``(i1, j1, c1, i2, j2, c2)``, each of length ``(na*nb)**2``.
+    """
+    r2 = math.sqrt(2.0)
+
+    def parts(n):
+        # real and imaginary part of entry (i, j) as (coordinate, coefficient)
+        k = n * (n - 1) // 2
+        pair = np.zeros((n, n), dtype=int)
+        iu, ju = np.triu_indices(n, k=1)
+        pair[iu, ju] = pair[ju, iu] = np.arange(k)
+        idx = np.arange(n)
+        on_diag = idx[:, None] == idx[None, :]
+        re_i = np.where(on_diag, idx[:, None], n + pair)
+        re_c = np.where(on_diag, 1.0, 1.0 / r2)
+        im_i = np.where(on_diag, 0, n + k + pair)
+        im_c = np.where(on_diag, 0.0, np.sign(idx[:, None] - idx[None, :]) / r2)
+        return re_i, re_c, im_i, im_c
+
+    d = na * nb
+    iu, ju = np.triu_indices(d, k=1)
+    rows = np.concatenate([np.arange(d), iu, iu])
+    cols = np.concatenate([np.arange(d), ju, ju])
+    i, k = np.divmod(rows, nb)
+    j, l = np.divmod(cols, nb)
+    xr, xrc, xi, xic = (t[i, j] for t in parts(na))
+    yr, yrc, yi, yic = (t[k, l] for t in parts(nb))
+    # diagonal and symmetric coordinates carry Re(x y), antisymmetric -Im(x y)
+    scale = np.concatenate([np.ones(d), np.full(2 * iu.size, r2)])
+    is_im = np.arange(d * d) >= d + iu.size
+    re = (xr, yr, scale * xrc * yrc, xi, yi, -scale * xic * yic)
+    im = (xr, yi, -scale * xrc * yic, xi, yr, -scale * xic * yrc)
+    return tuple(np.where(is_im, m, r) for r, m in zip(re, im))
+
+
+def _kron_rows(left: np.ndarray, right: np.ndarray, na: int, nb: int) -> np.ndarray:
+    """Coordinate rows of kron(L_k, R_l), ``k`` major, from coordinate rows."""
+    i1, j1, c1, i2, j2, c2 = _kron_terms(na, nb)
+    lt = np.stack([left[:, i1] * c1, left[:, i2] * c2])
+    rt = np.stack([right[:, j1], right[:, j2]])
+    return np.einsum('tkm,tlm->klm', lt, rt).reshape(-1, na * na * nb * nb)
+
+
 def tensor_obj(a: CausObject, b: CausObject, *, label: str | None = None) -> CausObject:
-    """Product type: affine span of products of state-basis points."""
+    """Product type: the affine hull of products of states, in closed form.
+
+    With min-norm bases ``ba``, ``bb`` orthogonal to orthonormal directions
+    ``Da``, ``Db``, the hull is ``ba(x)bb + span{a^(x)Db, Da(x)b^, Da(x)Db}``
+    where ``a^ = ba/|ba|`` and ``b^ = bb/|bb|``. Under the Hilbert-Schmidt
+    product these rows are orthonormal and orthogonal to the base, so the
+    rank is ``ra*rb + ra + rb`` with no rank decision to make.
+    """
     lab = label or f"({a.label}*{b.label})"
     if a.dim == 1:
         return CausObject(b.factor_dims, b.states, effects=b._effects, label=lab)
     if b.dim == 1:
         return CausObject(a.factor_dims, a.states, effects=a._effects, label=lab)
-    pa = a.states.affine_points()
-    pb = b.states.affine_points()
-    if pa.shape[0] * pb.shape[0] > _GRID_LIMIT:
+    ra, rb = a.states.rank(), b.states.rank()
+    if (ra + 1) * (rb + 1) > _GRID_LIMIT:
         raise InvalidDimensionError(
-            f"product grid of {pa.shape[0]} x {pb.shape[0]} points is too large")
-    ma = coords_to_herm(pa, a.dim)
-    mb = coords_to_herm(pb, b.dim)
-    d = a.dim * b.dim
-    prods = np.einsum('kab,lcd->klacbd', ma, mb).reshape(-1, d, d)
-    rows = herm_to_coords(prods)
-    states = AffineSubspace.from_span_coords(d, rows[0], rows[1:] - rows[0])
+            f"product grid of {ra + 1} x {rb + 1} points is too large")
+    ba, bb = a.states.base_vec(), b.states.base_vec()
+    na, nb = float(np.linalg.norm(ba)), float(np.linalg.norm(bb))
+    rows = _kron_rows(np.vstack([ba / na, a.states.dirs_coords()]),
+                      np.vstack([bb / nb, b.states.dirs_coords()]), a.dim, b.dim)
+    states = AffineSubspace(a.dim * b.dim, base=na * nb * rows[0], dirs=rows[1:])
     return CausObject(a.factor_dims + b.factor_dims, states, label=lab)
 
 
@@ -178,36 +232,28 @@ def hom_obj(a: CausObject, b: CausObject) -> CausObject:
     return par_obj(dual_obj(a), b, label=f"[{a.label},{b.label}]")
 
 
-def _kron_rows(left_mats: np.ndarray, right: np.ndarray) -> np.ndarray:
-    # coordinate rows of kron(L_k, right) for a batch of Hermitian L_k
-    k, dl, _ = left_mats.shape
-    dr = right.shape[0]
-    batch = np.einsum('kab,cd->kacbd', left_mats, right).reshape(k, dl * dr, dl * dr)
-    return herm_to_coords(batch)
-
-
 def seq_obj(a: CausObject, b: CausObject, *, label: str | None = None) -> CausObject:
     """One-way composite: b may depend on a but cannot influence it.
 
     Cut out of the par hull by linear slice conditions: contracting the
     second block with any effect direction of ``b`` must give zero, and
     contracting with the base effect must land in the state hull of ``a``.
+    The slice rows are stacked onto the par hull's constraint rows and
+    solved once, so the hull stays in constraint form.
     """
     lab = label or f"({a.label}<{b.label})"
     p = par_obj(a, b)
     if b.first_order or a.dim == 1 or b.dim == 1:
         # no effect directions to test; the composite collapses to par
         return CausObject(p.factor_dims, p.states, effects=p._effects, label=lab)
-    basis_a = coords_to_herm(np.eye(a.dim * a.dim), a.dim)
     eff = b.effects
-    dir_mats = coords_to_herm(eff.dirs_coords(), b.dim)
-    rows = [_kron_rows(basis_a, e) for e in dir_mats]
-    vals = [np.zeros(r.shape[0]) for r in rows]
+    pcons, pvals = p.states.cons_rows()
     acons, avals = a.states.cons_rows()
-    base_mat = coords_to_herm(eff.base_vec(), b.dim)
-    rows.append(_kron_rows(coords_to_herm(acons, a.dim), base_mat))
-    vals.append(avals)
-    states = p.states.intersect_linear(np.vstack(rows), np.concatenate(vals))
+    dirs = _kron_rows(np.eye(a.dim * a.dim), eff.dirs_coords(), a.dim, b.dim)
+    rows = np.vstack([pcons, dirs,
+                      _kron_rows(acons, eff.base_vec()[None, :], a.dim, b.dim)])
+    vals = np.concatenate([pvals, np.zeros(dirs.shape[0]), avals])
+    states = AffineSubspace.from_constraints(p.dim, rows, vals)
     return CausObject(p.factor_dims, states, label=lab)
 
 

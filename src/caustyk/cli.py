@@ -217,7 +217,11 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_laws(args) -> int:
-    budget = int(args.budget) if args.budget.isdigit() else args.budget
+    budget = args.budget
+    if budget.isascii() and budget.isdigit():
+        budget = int(budget)
+        if budget < 1:
+            raise ValueError("--budget needs at least 1 trial per law")
     records = law_suite(seed=args.seed, budget=budget)
     for rec in records:
         print(json.dumps(rec))

@@ -385,7 +385,10 @@ class AffineSubspace:
         if resid > TOLS.sub * max(float(np.linalg.norm(vals)), 1.0) * 1e3:
             raise InconsistencyError(
                 f"affine intersection is empty (residual {resid:.3e})")
-        null_t = scipy.linalg.null_space(mt).T if mt.shape[0] else np.eye(d.shape[0])
+        # conditions the subspace already meets leave mt at rounding noise, so
+        # its rank is cut at the pack's scale, not relative to that noise
+        _, s, vt = np.linalg.svd(mt, full_matrices=True)
+        null_t = vt[int(np.sum(s > TOLS.rank_cut(float(s[0]) if s.size else 0.0))):]
         new_dirs = null_t @ d
         new_base = b + d.T @ t0
         if new_dirs.shape[0]:

@@ -3,8 +3,10 @@
 ``perfbench/`` wraps caustyk functions and methods by attribute and runs
 workloads whose every op is checked against a known answer.  Deleting or
 renaming a name it needs, or changing an answer it checks, breaks the
-benchmark without failing any other test; this module catches both.  The
-``cli`` workload spawns processes and writes files, so it is left to
+benchmark without failing any other test; this module catches both.  It
+also elaborates every type in ``perfbench/ranks.json`` and checks its dim
+and rank, so a broken hull algebra fails here before the benchmark runs.
+The ``cli`` workload spawns processes and writes files, so it is left to
 ``tests/test_cli.py``.
 """
 
@@ -18,6 +20,8 @@ sys.path.insert(0, str(BENCH))
 
 import tracing  # noqa: E402
 import workloads  # noqa: E402
+
+from caustyk import dsl  # noqa: E402
 
 
 def test_tracer_resolves_every_patched_name():
@@ -35,3 +39,12 @@ def test_smoke_round_answers(name):
             assert op.check(op.fn(*op.args)) is None, op.kind
     finally:
         plan.close()
+
+
+def test_rank_table_answers():
+    # the reference dim and state rank of every benchmark type template
+    table = workloads.load_ranks()
+    assert table
+    for expr, want in table.items():
+        obj = dsl.elaborate(dsl.parse_type(expr))
+        assert {"dim": obj.dim, "rank": obj.states.rank()} == want, expr

@@ -5,6 +5,8 @@ this file (operational channel constructions, no type machinery) before the
 constructors existed, then frozen.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,11 @@ from caustyk.causobj import (CausMorphism, CausObject, check_morphism, choi_of_s
                              objects_equal, par_member, par_obj, seq_member,
                              seq_obj, state_of_choi, tensor_obj)
 from caustyk.cpmaps import ChoiMap, choi_of_kraus, permute_factors, structural
-from caustyk.errors import FlatnessError, MorphismError, ShapeMismatchError
+from caustyk.errors import (FlatnessError, InvalidDimensionError, MorphismError,
+                            ShapeMismatchError)
 from caustyk.hermspace import AffineSubspace, coords_to_herm, herm_to_coords
+from caustyk.sampling import random_object
+from caustyk.tolerances import TOLS
 
 
 def random_cptp(rng, din, dout, env=None):
@@ -238,6 +243,12 @@ class TestComposites:
         p = par_obj(x, chan)
         assert s.states.rank() < p.states.rank()
 
+    def test_seq_slices_implied_by_par(self):
+        # a single state on the left: the slice conditions hold on all of par
+        a, b = dual_obj(mk_first_order(2)), mk_classical(3)
+        assert objects_equal(seq_obj(a, b), par_obj(a, b))
+        assert seq_obj(a, b).states.rank() == 8
+
     def test_unit_laws(self, chan):
         u = mk_unit()
         assert objects_equal(tensor_obj(chan, u), chan)
@@ -261,6 +272,113 @@ class TestComposites:
         p = par_obj(chan, chan)
         back = dual_obj(p)
         assert back.states.rank() == 15
+
+
+def product_grid_hull(a, b):
+    """Affine hull of every product of the factors' affine points, by SVD."""
+    d = a.dim * b.dim
+    ma = coords_to_herm(a.states.affine_points(), a.dim)
+    mb = coords_to_herm(b.states.affine_points(), b.dim)
+    rows = herm_to_coords(np.einsum('kab,lcd->klacbd', ma, mb).reshape(-1, d, d))
+    return AffineSubspace.from_span_coords(d, rows[0], rows[1:] - rows[0])
+
+
+def seq_slice_conditions(a, b):
+    """The slice rows of a < b built with full-size Kronecker products."""
+    d = a.dim * b.dim
+    eff = b.effects
+    basis = coords_to_herm(np.eye(a.dim * a.dim), a.dim)
+    dirs = coords_to_herm(eff.dirs_coords(), b.dim)
+    acons, avals = a.states.cons_rows()
+    base = coords_to_herm(eff.base_vec(), b.dim)
+    rows = np.concatenate([
+        herm_to_coords(np.einsum('kab,lcd->lkacbd', basis, dirs).reshape(-1, d, d)),
+        herm_to_coords(np.einsum('kab,cd->kacbd', coords_to_herm(acons, a.dim),
+                                 base).reshape(-1, d, d))])
+    vals = np.concatenate([np.zeros(rows.shape[0] - avals.size), avals])
+    return rows, vals
+
+
+def random_flat_type(rng, d):
+    """A one-factor type whose hull has random complex directions.
+
+    The atoms, and so every type the connectives build from them, have
+    hulls closed under transposition; this one is not, so the oracle can
+    tell a correct product from one with a factor transposed.
+    """
+    dirs = []
+    for _ in range(int(rng.integers(1, d * d - 1))):
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        h = g + g.conj().T
+        dirs.append(h - np.trace(h).real / d * np.eye(d))
+    return CausObject((d,), AffineSubspace.from_span(np.eye(d) / d, dirs),
+                      label=f"RND({d})")
+
+
+@pytest.fixture(scope="module")
+def type_pairs():
+    """200 seeded pairs of random types, both non-trivial, product dim <= 36."""
+    rng = np.random.default_rng(36)
+    pairs = []
+    while len(pairs) < 200:
+        cap = int(rng.integers(4, 37))
+        a = random_object(rng, max_dim=min(4, cap // 2))
+        if a.dim < 2:
+            continue
+        b = random_object(rng, max_dim=cap // a.dim)
+        if b.dim < 2 or a.dim * b.dim > cap:
+            continue
+        if rng.uniform() < 0.2:
+            a = random_flat_type(rng, a.dim)
+        if rng.uniform() < 0.2:
+            b = random_flat_type(rng, b.dim)
+        pairs.append((a, b))
+    return pairs
+
+
+class TestClosedForms:
+    """The closed-form tensor and constraint-form seq against generic hull builds."""
+
+    def test_tensor_equals_product_grid_hull(self, type_pairs):
+        for a, b in type_pairs:
+            t = tensor_obj(a, b).states
+            grid = product_grid_hull(a, b)
+            ra, rb = a.states.rank(), b.states.rank()
+            assert t.rank() == grid.rank() == ra * rb + ra + rb, (a.label, b.label)
+            assert grid.equals(t), (a.label, b.label)
+
+    def test_tensor_directions_orthonormal_to_base(self, type_pairs):
+        for a, b in type_pairs:
+            t = tensor_obj(a, b).states
+            dirs, base = t.dirs_coords(), t.base_vec()
+            gram = dirs @ dirs.T
+            assert np.max(np.abs(gram - np.eye(len(gram))), initial=0.0) <= TOLS.orth
+            assert np.max(np.abs(dirs @ base), initial=0.0) <= \
+                TOLS.orth * max(1.0, np.linalg.norm(base))
+
+    def test_seq_equals_par_intersected_with_slices(self, type_pairs):
+        cut = 0
+        for a, b in type_pairs:
+            if b.first_order:
+                continue            # seq collapses to par, nothing to slice
+            rows, vals = seq_slice_conditions(a, b)
+            want = par_obj(a, b).states.intersect_linear(rows, vals)
+            got = seq_obj(a, b).states
+            assert got.rank() == want.rank(), (a.label, b.label)
+            assert want.equals(got), (a.label, b.label)
+            cut += 1
+        assert cut >= 100
+
+    def test_grid_limit_refuses_before_allocating(self):
+        fo = mk_first_order(23)             # 529 x 529 product points > 250,000
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidDimensionError):
+                tensor_obj(fo, fo)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000_000
 
 
 class TestMorphisms:

@@ -421,8 +421,15 @@ class TestLaws:
 
     def test_zero_budget(self, capsys):
         code = main(["laws", "--budget", "0"])
-        assert code == 0
-        assert capsys.readouterr().out == ""
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "budget" in err and len(err.splitlines()) == 1
+
+    def test_non_ascii_digit_budget(self, capsys):
+        code = main(["laws", "--budget", "\u0660"])       # ARABIC-INDIC DIGIT ZERO
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "budget" in err and len(err.splitlines()) == 1
 
     def test_unknown_budget(self, capsys):
         code = main(["laws", "--budget", "nope"])

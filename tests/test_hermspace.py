@@ -257,6 +257,14 @@ class TestAffineSubspace:
         assert cut.contains(np.eye(2) / 2)
         assert not cut.contains(np.diag([1.0, 0.0]))
 
+    def test_intersect_with_conditions_already_met(self):
+        # multiples of the trace condition leave the rank-8 plane as it is
+        w = trace_one_plane(3)
+        scales = np.array([1.0, 0.3, -2.0])
+        cut = w.intersect_linear(np.outer(scales, vec_identity(3)), scales)
+        assert cut.rank() == 8
+        assert cut.equals(w)
+
     def test_intersect_empty(self):
         point = AffineSubspace.from_point(np.eye(2) / 2)
         z = herm_to_coords(np.diag([1.0, -1.0]))
