@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cpmaps import ChoiMap, permute_factors, structural
+from .cpmaps import ChoiMap, regroup, structural, transpose_channel
 from .errors import (FlatnessError, InvalidDimensionError, MorphismError,
                      ShapeMismatchError)
 from .hermspace import (AffineSubspace, check_hermitian, coords_to_herm,
@@ -65,9 +65,6 @@ class CausObject:
     @property
     def first_order(self) -> bool:
         return self.effects.rank() == 0
-
-    def n_factors(self) -> int:
-        return len(self.factor_dims)
 
     def __repr__(self) -> str:
         return (f"CausObject({self.label}, dim={self.dim}, "
@@ -236,10 +233,9 @@ def seq_obj(a: CausObject, b: CausObject, *, label: str | None = None) -> CausOb
     """One-way composite: b may depend on a but cannot influence it.
 
     Cut out of the par hull by linear slice conditions: contracting the
-    second block with any effect direction of ``b`` must give zero, and
-    contracting with the base effect must land in the state hull of ``a``.
-    The slice rows are stacked onto the par hull's constraint rows and
-    solved once, so the hull stays in constraint form.
+    second block with any effect direction of ``b`` must give zero. The
+    slice rows are stacked onto the par hull's constraint rows and solved
+    once, so the hull stays in constraint form.
     """
     lab = label or f"({a.label}<{b.label})"
     p = par_obj(a, b)
@@ -248,11 +244,9 @@ def seq_obj(a: CausObject, b: CausObject, *, label: str | None = None) -> CausOb
         return CausObject(p.factor_dims, p.states, effects=p._effects, label=lab)
     eff = b.effects
     pcons, pvals = p.states.cons_rows()
-    acons, avals = a.states.cons_rows()
     dirs = _kron_rows(np.eye(a.dim * a.dim), eff.dirs_coords(), a.dim, b.dim)
-    rows = np.vstack([pcons, dirs,
-                      _kron_rows(acons, eff.base_vec()[None, :], a.dim, b.dim)])
-    vals = np.concatenate([pvals, np.zeros(dirs.shape[0]), avals])
+    rows = np.vstack([pcons, dirs])
+    vals = np.concatenate([pvals, np.zeros(dirs.shape[0])])
     states = AffineSubspace.from_constraints(p.dim, rows, vals)
     return CausObject(p.factor_dims, states, label=lab)
 
@@ -327,12 +321,6 @@ def matricize(x: np.ndarray, d_left: int, d_right: int) -> np.ndarray:
     return herm_to_coords(red)
 
 
-def _partial_effect(x: np.ndarray, e: np.ndarray, d_left: int, d_right: int) -> np.ndarray:
-    # contract the right block with effect e, leaving a matrix on the left block
-    x4 = x.reshape(d_left, d_right, d_left, d_right)
-    return np.einsum('bc,acrb->ar', e, x4)
-
-
 def par_member(x: np.ndarray, a: CausObject, b: CausObject,
                tol: float | None = None, *, require_psd: bool = True) -> bool:
     """Membership in the par composite without building the composite type."""
@@ -371,26 +359,15 @@ def seq_member(x: np.ndarray, a: CausObject, b: CausObject,
     c = matricize(x, a.dim, b.dim)
     cb, _ = b.effects.cons_rows()
     resid = c - (c @ cb.T) @ cb
-    if float(np.linalg.norm(resid)) > tol * scale:
-        return False
-    base_mat = coords_to_herm(b.effects.base_vec(), b.dim)
-    pe = _partial_effect(x, base_mat, a.dim, b.dim)
-    return a.states.contains_vec(herm_to_coords(pe), tol)
+    return float(np.linalg.norm(resid)) <= tol * scale
 
 
 def interchange_check(a_state: np.ndarray, a: CausObject, b: CausObject,
                       c_state: np.ndarray, c: CausObject, d: CausObject,
                       tol: float | None = None) -> bool:
     """Product of one-way states, reordered by parties, stays one-way."""
-    dims = a.factor_dims + b.factor_dims + c.factor_dims + d.factor_dims
-    prod = np.kron(a_state, c_state)
-    na, nb, nc, nd = (o.n_factors() for o in (a, b, c, d))
-    perm = (list(range(na))
-            + list(range(na + nb, na + nb + nc))
-            + list(range(na, na + nb))
-            + list(range(na + nb + nc, na + nb + nc + nd)))
-    if dims:
-        prod = permute_factors(prod, dims, perm)
+    blocks = [o.factor_dims for o in (a, b, c, d)]
+    prod = regroup(np.kron(a_state, c_state), blocks, [0, 2, 1, 3])
     t_ac = tensor_obj(a, c)
     t_bd = tensor_obj(b, d)
     return seq_member(prod, t_ac, t_bd, tol)
@@ -404,7 +381,7 @@ def objects_equal(a: CausObject, b: CausObject, tol: float | None = None) -> boo
 
 def state_of_choi(cm: ChoiMap) -> np.ndarray:
     """Reorder a process matrix to hom-state layout (input block first)."""
-    return permute_factors(cm.J, (cm.d_out, cm.d_in), [1, 0])
+    return transpose_channel(cm).J
 
 
 def choi_of_state(mat: np.ndarray, in_dims, out_dims, *,
@@ -416,5 +393,5 @@ def choi_of_state(mat: np.ndarray, in_dims, out_dims, *,
     if mat.shape[0] != di * do:
         raise ShapeMismatchError(
             f"state dim {mat.shape[0]} does not match {di} -> {do}")
-    j = permute_factors(mat, (di, do), [1, 0])
+    j = regroup(mat, [in_dims, out_dims], [1, 0])
     return ChoiMap(out_dims, in_dims, j, validate=validate)

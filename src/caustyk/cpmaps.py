@@ -6,8 +6,8 @@ with the unnormalized pair vector ``|Omega> = sum_i |ii>``, so ``J`` lives on
 the one-dimensional system, effects are maps to it.
 
 Factor bookkeeping is explicit everywhere: a :class:`ChoiMap` carries
-``out_dims`` and ``in_dims`` tuples, and the reshape/permute helpers below are
-the only places where multi-index arithmetic happens.
+``out_dims`` and ``in_dims`` tuples, and every reordering of tensor factors
+goes through :func:`regroup` or :func:`permute_factors` below.
 """
 
 from __future__ import annotations
@@ -56,6 +56,25 @@ def permute_factors(mat: np.ndarray, dims, perm) -> np.ndarray:
     resh = mat.reshape(dims + dims)
     axes = perm + [k + p for p in perm]
     return resh.transpose(axes).reshape(d, d)
+
+
+def regroup(mat: np.ndarray, blocks, order) -> np.ndarray:
+    """Reorder contiguous blocks of tensor factors of a square matrix.
+
+    ``blocks`` lists the factor dims of each block in the current layout;
+    block ``order[i]`` lands at position ``i``. Blocks may be empty, and a
+    matrix with no factors at all comes back unchanged.
+    """
+    blocks = [tuple(b) for b in blocks]
+    order = list(order)
+    if sorted(order) != list(range(len(blocks))):
+        raise ShapeMismatchError(f"{order} is not a permutation of {len(blocks)} blocks")
+    starts = [0]
+    for blk in blocks:
+        starts.append(starts[-1] + len(blk))
+    perm = [i for k in order for i in range(starts[k], starts[k + 1])]
+    dims = sum(blocks, ())
+    return permute_factors(mat, dims, perm) if dims else mat
 
 
 def partial_trace(mat: np.ndarray, dims, keep) -> np.ndarray:
@@ -172,19 +191,6 @@ class ChoiMap:
 
     # -- factor surgery -------------------------------------------------------
 
-    def permute_out(self, perm) -> "ChoiMap":
-        full = list(perm) + [len(self.out_dims) + i for i in range(len(self.in_dims))]
-        J = permute_factors(self.J, self.factor_dims, full)
-        return ChoiMap(tuple(self.out_dims[p] for p in perm), self.in_dims, J,
-                       validate=False)
-
-    def permute_in(self, perm) -> "ChoiMap":
-        full = list(range(len(self.out_dims))) + \
-            [len(self.out_dims) + p for p in perm]
-        J = permute_factors(self.J, self.factor_dims, full)
-        return ChoiMap(self.out_dims, tuple(self.in_dims[p] for p in perm), J,
-                       validate=False)
-
     def marginal(self, keep_out) -> "ChoiMap":
         """Discard the output factors not listed in ``keep_out``."""
         keep_out = list(keep_out)
@@ -288,12 +294,6 @@ def structural(kind: str, *dims: int) -> ChoiMap:
         cm = choi_of_kraus([s], d1 * d2, d1 * d2)
         return ChoiMap((d2, d1), (d1, d2), cm.J, validate=False)
     raise InvalidDimensionError(f"unknown structural generator {kind!r}")
-
-
-def prepare(state: np.ndarray) -> ChoiMap:
-    """State preparation as a map from the unit system."""
-    state = check_hermitian(state)
-    return ChoiMap((state.shape[0],), (1,), state, validate=False)
 
 
 # ---------------------------------------------------------------------------

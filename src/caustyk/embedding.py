@@ -25,8 +25,7 @@ from .causobj import (CausMorphism, CausObject, _wire_dims, check_morphism,
                       interchange_check, member, mk_all_states, mk_classical,
                       mk_first_order, mk_unit, objects_equal, par_obj,
                       seq_obj, state_of_choi, tensor_obj)
-from .cpmaps import (ChoiMap, act_on_factors, permute_factors, structural,
-                     transpose_channel)
+from .cpmaps import ChoiMap, act_on_factors, regroup, structural, transpose_channel
 from .errors import MorphismError, ShapeMismatchError
 from .sampling import (random_coarse_graining, random_decomp_pair,
                        random_first_order, random_state_morphism, rng_from,
@@ -154,18 +153,9 @@ def strength(img: FImage, tau: np.ndarray, k: CausMorphism) -> np.ndarray:
     """
     _require_boundary(k.source, k.target)
     prod = np.kron(np.asarray(tau), state_of_choi(k.map))
-    fx, fa, fxp = img.splits()
-    fy, fyp = k.source.factor_dims, k.target.factor_dims
-    dims = fx + fa + fxp + fy + fyp
-    if not dims:
-        return prod
-    nx, na, nxp, ny = len(fx), len(fa), len(fxp), len(fy)
-    off = nx + na + nxp
+    blocks = [*img.splits(), k.source.factor_dims, k.target.factor_dims]
     # product order (X, A, X', Y, Y') becomes (X, Y, A, X', Y')
-    idx = (list(range(nx)) + list(range(off, off + ny))
-           + list(range(nx, nx + na + nxp))
-           + list(range(off + ny, len(dims))))
-    return permute_factors(prod, dims, idx)
+    return regroup(prod, blocks, [0, 3, 1, 2, 4])
 
 
 def lax_tensor(img1: FImage, tau1: np.ndarray,
@@ -173,20 +163,8 @@ def lax_tensor(img1: FImage, tau1: np.ndarray,
     """Parallel pairing: elements over (X1,X1') and (X2,X2') combine to one
     element over (X1 (x) X2, X1' (x) X2') for the tensor of the middles."""
     prod = np.kron(np.asarray(tau1), np.asarray(tau2))
-    f1, f2 = img1.splits(), img2.splits()
-    dims = f1[0] + f1[1] + f1[2] + f2[0] + f2[1] + f2[2]
-    if not dims:
-        return prod
-    n1 = tuple(len(f) for f in f1)
-    n2 = tuple(len(f) for f in f2)
-    off = sum(n1)
-    idx = (list(range(n1[0]))
-           + list(range(off, off + n2[0]))
-           + list(range(n1[0], n1[0] + n1[1]))
-           + list(range(off + n2[0], off + n2[0] + n2[1]))
-           + list(range(n1[0] + n1[1], off))
-           + list(range(off + n2[0] + n2[1], off + sum(n2))))
-    return permute_factors(prod, dims, idx)
+    blocks = [*img1.splits(), *img2.splits()]
+    return regroup(prod, blocks, [0, 3, 1, 4, 2, 5])
 
 
 # ---------------------------------------------------------------------------
@@ -204,18 +182,11 @@ def lax_seq(pair: DecompPair) -> np.ndarray:
     the slots form the future boundary.
     """
     cm = recompose(pair)
-    st = state_of_choi(cm)
-    ins = _wire_dims(cm.in_dims)
-    outs = _wire_dims(cm.out_dims)
-    dims = ins + outs
-    if not dims:
-        return st
+    ins, outs = _wire_dims(cm.in_dims), _wire_dims(cm.out_dims)
     nri = len(_wire_dims(pair.rho.in_dims))
     nro = len(_wire_dims(pair.rho.out_dims[:-1]))
-    ni = len(ins)
-    idx = (list(range(nri)) + list(range(ni, ni + nro))
-           + list(range(nri, ni)) + list(range(ni + nro, len(dims))))
-    return permute_factors(st, dims, idx)
+    blocks = [ins[:nri], ins[nri:], outs[:nro], outs[nro:]]
+    return regroup(state_of_choi(cm), blocks, [0, 2, 1, 3])
 
 
 def inverse_seq(tau: np.ndarray, a: CausObject, b: CausObject,
@@ -237,23 +208,13 @@ def inverse_seq(tau: np.ndarray, a: CausObject, b: CausObject,
     if not fa_out:
         raise ShapeMismatchError("the first middle slot needs an output wire")
     tau = np.asarray(tau)
-    dims = fx + fa + fb + fxp
-    total = math.prod(dims)
+    total = math.prod(fx + fa + fb + fxp)
     if tau.shape != (total, total):
         raise ShapeMismatchError(
             f"element is {tau.shape}, typing wants ({total}, {total})")
-    ins = fx + fa_in + fb_in
-    outs = fa_out + fb_out + fxp
-    blocks = [fx, fa_in, fa_out, fb_in, fb_out, fxp]
-    starts, pos = [], 0
-    for blk in blocks:
-        starts.append(pos)
-        pos += len(blk)
-    order_to = [0, 1, 3, 2, 4, 5]   # gather the input wires in front
-    idx = [i for k in order_to
-           for i in range(starts[k], starts[k] + len(blocks[k]))]
-    st = permute_factors(tau, dims, idx) if dims else tau
-    cm = choi_of_state(st, ins, outs)
+    # gather the input wires in front
+    st = regroup(tau, [fx, fa_in, fa_out, fb_in, fb_out, fxp], [0, 1, 3, 2, 4, 5])
+    cm = choi_of_state(st, fx + fa_in + fb_in, fa_out + fb_out + fxp)
     return comb_decompose(cm, n_out_a=len(fa_out),
                           n_in_a=len(fx) + a_inputs, tol=tol)
 
@@ -425,18 +386,12 @@ def strong_closure_check(a: CausObject, b: CausObject,
     rhs = hom_obj(a, hom_obj(x, par_obj(b, xp)))
     fx, fa = x.factor_dims, a.factor_dims
     rest = b.factor_dims + xp.factor_dims
-    nx, na = len(fx), len(fa)
-    tail = list(range(nx + na, nx + na + len(rest)))
-    fwd = list(range(nx, nx + na)) + list(range(nx)) + tail
-    bwd = list(range(na, na + nx)) + list(range(na)) + tail
-    dims_l = fx + fa + rest
-    dims_r = fa + fx + rest
 
     def bend(m):
-        return permute_factors(m, dims_l, fwd) if dims_l else m
+        return regroup(m, [fx, fa, rest], [1, 0, 2])
 
     def unbend(m):
-        return permute_factors(m, dims_r, bwd) if dims_r else m
+        return regroup(m, [fa, fx, rest], [1, 0, 2])
 
     failed = 0
     total = 0

@@ -252,7 +252,7 @@ def random_comb_relaxation(rng, src: CausObject, tgt: CausObject):
     role-swapped version leaves the one-way set while staying valid.
     """
     from .causobj import CausMorphism
-    from .cpmaps import permute_factors, transpose_channel
+    from .cpmaps import regroup, transpose_channel
     ai, ao, bi, bo = src.factor_dims
 
     def local(di, do):
@@ -262,8 +262,8 @@ def random_comb_relaxation(rng, src: CausObject, tgt: CausObject):
     j = local(ai, ao).tensor(local(bi, bo), validate=False).J
     if (ai, ao) == (bi, bo):
         other = local(ai, ao).tensor(local(bi, bo), validate=False).J
-        dims = src.factor_dims + src.factor_dims
-        other = permute_factors(other, dims, [2, 3, 0, 1, 6, 7, 4, 5])
+        # swap the two parties on both the output and the input side
+        other = regroup(other, [(ai, ao)] * 4, [1, 0, 3, 2])
         p = float(rng.uniform(0.2, 0.8))
         j = p * j + (1.0 - p) * other
     return CausMorphism(map=ChoiMap(tgt.factor_dims, src.factor_dims, j, validate=False),

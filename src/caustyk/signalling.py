@@ -16,7 +16,7 @@ import numpy as np
 from .causobj import (CausObject, hom_obj, member, mk_first_order, par_obj,
                       state_of_choi, tensor_obj)
 from .cpmaps import (ChoiMap, Isometry, choi_of_kraus, dilation_isometry,
-                     permute_factors, shadow, stinespring, structural)
+                     regroup, shadow, stinespring, structural)
 from .errors import (InconsistencyError, NoIsometryError, NotOneWayError,
                      ShadowNotFoundError, ShapeMismatchError)
 from .hermspace import check_hermitian, min_eig
@@ -32,32 +32,17 @@ class SignalVerdict(enum.Enum):
 
 def party_name(cm: ChoiMap, n_out_a: int, n_in_a: int) -> np.ndarray:
     """Channel matrix rearranged to party-interleaved state layout."""
-    dims = cm.out_dims + cm.in_dims
-    no, ni = len(cm.out_dims), len(cm.in_dims)
-    a_out = list(range(n_out_a))
-    b_out = list(range(n_out_a, no))
-    a_in = list(range(no, no + n_in_a))
-    b_in = list(range(no + n_in_a, no + ni))
-    return permute_factors(cm.J, dims, a_in + a_out + b_in + b_out)
+    o, i = cm.out_dims, cm.in_dims
+    blocks = [o[:n_out_a], o[n_out_a:], i[:n_in_a], i[n_in_a:]]
+    return regroup(cm.J, blocks, [2, 0, 3, 1])
 
 
 def party_choi(mat: np.ndarray, out_dims, in_dims, n_out_a: int, n_in_a: int,
                *, validate: bool = False) -> ChoiMap:
     """Inverse of :func:`party_name`."""
-    out_dims = tuple(out_dims)
-    in_dims = tuple(in_dims)
-    state_dims = (in_dims[:n_in_a] + out_dims[:n_out_a]
-                  + in_dims[n_in_a:] + out_dims[n_out_a:])
-    na_i, na_o = n_in_a, n_out_a
-    nb_i, nb_o = len(in_dims) - n_in_a, len(out_dims) - n_out_a
-    # positions of each block inside the state layout
-    pos_a_in = list(range(na_i))
-    pos_a_out = list(range(na_i, na_i + na_o))
-    pos_b_in = list(range(na_i + na_o, na_i + na_o + nb_i))
-    pos_b_out = list(range(na_i + na_o + nb_i, na_i + na_o + nb_i + nb_o))
-    perm = pos_a_out + pos_b_out + pos_a_in + pos_b_in
-    j = permute_factors(mat, state_dims, perm)
-    return ChoiMap(out_dims, in_dims, j, validate=validate)
+    o, i = tuple(out_dims), tuple(in_dims)
+    blocks = [i[:n_in_a], o[:n_out_a], i[n_in_a:], o[n_out_a:]]
+    return ChoiMap(o, i, regroup(mat, blocks, [1, 3, 0, 2]), validate=validate)
 
 
 def _depends_on_block(marg: ChoiMap, split: int, probe_right: bool,

@@ -6,11 +6,14 @@ families with known closed forms (amplitude damping) and on random inputs
 against direct application.
 """
 
+import ast
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import caustyk
 from caustyk.causobj import mk_classical
 from caustyk.cpmaps import (
     ChoiMap,
@@ -22,7 +25,7 @@ from caustyk.cpmaps import (
     dilation_isometry,
     partial_trace,
     permute_factors,
-    prepare,
+    regroup,
     shadow,
     stinespring,
     structural,
@@ -80,6 +83,65 @@ class TestFactorPlumbing:
         mats = [rng.standard_normal((d, d)) for d in (2, 2, 3)]
         got = partial_trace(reduce(np.kron, mats), (2, 2, 3), [2, 0])
         np.testing.assert_allclose(got, np.trace(mats[1]) * np.kron(mats[2], mats[0]))
+
+
+def random_layout(rng):
+    """Blocks of 0-2 factors each, dims 1-3, total dim at most 64."""
+    while True:
+        blocks = [tuple(int(d) for d in rng.integers(1, 4, size=rng.integers(0, 3)))
+                  for _ in range(rng.integers(1, 6))]
+        d = int(np.prod([np.prod(b) for b in blocks]))
+        if d <= 64:
+            return blocks, d
+
+
+class TestRegroup:
+    def test_matches_block_transpose(self):
+        rng = np.random.default_rng(20)
+        for _ in range(60):
+            blocks, d = random_layout(rng)
+            order = list(rng.permutation(len(blocks)))
+            m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            # one axis per block, sized by the product of its factors
+            bd = [int(np.prod(b)) for b in blocks]
+            k = len(blocks)
+            want = m.reshape(bd + bd).transpose(order + [k + o for o in order]) \
+                .reshape(d, d)
+            np.testing.assert_array_equal(regroup(m, blocks, order), want)
+
+    def test_inverse_order_restores(self):
+        rng = np.random.default_rng(21)
+        for _ in range(60):
+            blocks, d = random_layout(rng)
+            order = list(rng.permutation(len(blocks)))
+            m = rng.standard_normal((d, d))
+            moved = regroup(m, blocks, order)
+            back = [int(i) for i in np.argsort(order)]
+            np.testing.assert_array_equal(
+                regroup(moved, [blocks[o] for o in order], back), m)
+
+    def test_no_factors_unchanged(self):
+        m = np.array([[2.5]])
+        assert regroup(m, [(), (), ()], [2, 0, 1]) is m
+        assert regroup(m, [], []) is m
+
+    def test_rejects_bad_order(self):
+        with pytest.raises(ShapeMismatchError):
+            regroup(np.eye(4), [(2,), (), (2,)], [0, 2])
+
+    def test_permute_factors_called_only_in_cpmaps(self):
+        # every other module reorders factor blocks through regroup
+        offenders = []
+        for path in sorted(Path(caustyk.__file__).parent.glob("*.py")):
+            if path.name == "cpmaps.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                    if name == "permute_factors":
+                        offenders.append(f"{path.name}:{node.lineno}")
+        assert offenders == []
 
 
 class TestChoiForms:
@@ -183,11 +245,6 @@ class TestComposition:
         # on the unnormalized pair state the pairing gives <Omega|Omega>^2 = d^2
         assert abs(structural("cap", 2).apply(pair)[0, 0] - 4.0) < 1e-12
 
-    def test_prepare(self):
-        rng = np.random.default_rng(10)
-        rho = random_density(rng, 2)
-        np.testing.assert_allclose(prepare(rho).apply(np.eye(1)), rho, atol=1e-14)
-
     def test_trace_preserving(self):
         assert amplitude_damping(0.5).is_cptp()
         assert not structural("cup", 2).is_trace_preserving()
@@ -226,8 +283,8 @@ class TestFactorSurgery:
     def test_permute_out(self):
         f, g = amplitude_damping(0.2), choi_of_kraus([np.eye(3)], 3, 3)
         fg, gf = f.tensor(g), g.tensor(f)
-        swapped = fg.permute_out([1, 0]).permute_in([1, 0])
-        np.testing.assert_allclose(swapped.J, gf.J, atol=1e-12)
+        swapped = regroup(fg.J, [(2,), (3,), (2,), (3,)], [1, 0, 3, 2])
+        np.testing.assert_allclose(swapped, gf.J, atol=1e-12)
 
 
 class TestStinespring:

@@ -1,6 +1,7 @@
 """Boundary-indexed state families: evaluation, actions, pairings, audits."""
 
 import json
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ import pytest
 from caustyk.causobj import (CausMorphism, check_morphism, cup_state, hom_obj,
                              member, mk_all_states, mk_first_order, mk_unit,
                              objects_equal, par_obj, seq_obj, tensor_obj)
-from caustyk.cpmaps import ChoiMap, partial_trace, permute_factors, transpose_channel
+from caustyk.cpmaps import (ChoiMap, partial_trace, permute_factors, regroup,
+                            transpose_channel)
 from caustyk.errors import MorphismError, NotOneWayError, ShapeMismatchError
 from caustyk.embedding import (AGREE_TOL, BlackBoxTransform, F_eval, F_mor,
                                FImage, compose_morphisms, faithfulness_probe,
@@ -23,7 +25,7 @@ from caustyk.sampling import (identity_comb_name, pad_pair,
                               random_decomp_pair, random_density,
                               random_state_morphism, random_unitary, rng_from,
                               rotate_pair, sample_member)
-from caustyk.signalling import coend_equiv, comb_decompose, party_choi
+from caustyk.signalling import DecompPair, coend_equiv, comb_decompose, party_choi
 
 # direction rank of the channel family probed between qubit boundaries,
 # computed once from the affine machinery and pinned
@@ -187,6 +189,44 @@ class TestBoundaryAction:
         rhs = F_mor(f, tensor_obj(FO2, FO2), tensor_obj(UNIT, FO2),
                     strength(img_a, tau, k))
         assert np.linalg.norm(lhs - rhs) <= 1e-9 * max(1.0, np.linalg.norm(lhs))
+
+
+class TestBlockLayouts:
+    """Product inputs pin the factor order each structure map produces."""
+
+    def test_lax_tensor_interleaves_boundaries(self, rng):
+        x1, a1, p1, x2, a2, p2 = (rng.standard_normal((d, d)) for d in (2, 3, 2, 2, 2, 3))
+        img1 = F_eval(FO3, FO2, FO2)
+        img2 = F_eval(FO2, FO2, FO3)
+        got = lax_tensor(img1, reduce(np.kron, (x1, a1, p1)),
+                         img2, reduce(np.kron, (x2, a2, p2)))
+        want = reduce(np.kron, (x1, x2, a1, a2, p1, p2))
+        np.testing.assert_allclose(got, want, atol=1e-12)
+
+    def test_strength_threads_side_wire(self, rng):
+        mx, ma, mp, my, myp = (rng.standard_normal((d, d)) for d in (2, 3, 2, 2, 3))
+        img = F_eval(FO3, FO2, FO2)
+        k = CausMorphism(map=ChoiMap((3,), (2,), np.kron(myp, my), validate=False),
+                         source=FO2, target=FO3)
+        got = strength(img, reduce(np.kron, (mx, ma, mp)), k)
+        np.testing.assert_allclose(got, reduce(np.kron, (mx, my, ma, mp, myp)), atol=1e-12)
+
+    def test_lax_seq_orders_teeth(self, rng):
+        ai, ao, bi, bo = (rng.standard_normal((d, d)) for d in (2, 3, 3, 2))
+        rho = ChoiMap((3, 1), (2,), np.kron(ao, ai), validate=False)
+        sigma = ChoiMap((2,), (1, 3), np.kron(bo, bi), validate=False)
+        got = lax_seq(DecompPair(rho=rho, sigma=sigma, z_dim=1))
+        np.testing.assert_allclose(got, reduce(np.kron, (ai, ao, bi, bo)), atol=1e-12)
+
+    def test_comb_relaxation_mixes_two_party_local_maps(self, rng):
+        # each term acts on party A's slots apart from party B's, so the
+        # operator Schmidt rank across the party cut is at most two
+        for _ in range(5):
+            h = random_comb_relaxation(rng, seq_obj(CHAN, CHAN), par_obj(CHAN, CHAN))
+            j = regroup(h.map.J, [(2, 2)] * 4, [0, 2, 1, 3])
+            cut = j.reshape(16, 16, 16, 16).transpose(0, 2, 1, 3).reshape(256, 256)
+            sv = np.linalg.svd(cut, compute_uv=False)
+            assert sv[2] <= 1e-12 * sv[0]
 
 
 class TestLaxTensor:

@@ -5,7 +5,7 @@ import pytest
 
 from caustyk.causobj import (cup_state, hom_obj, member, mk_first_order,
                              par_obj, seq_member, seq_obj)
-from caustyk.cpmaps import ChoiMap, structural
+from caustyk.cpmaps import ChoiMap, regroup, structural
 from caustyk.errors import (InconsistencyError, NotOneWayError,
                             ShapeMismatchError)
 from caustyk.sampling import (identity_comb_name, pad_pair, random_cptp,
@@ -65,12 +65,9 @@ def feedforward_choi() -> ChoiMap:
 
 def flip_parties(cm: ChoiMap) -> ChoiMap:
     """Exchange the two parties of a qubit-leg two-party channel."""
-    out = cm.permute_out([1, 0])
-    j = out.J
-    dims = out.out_dims + out.in_dims
-    from caustyk.cpmaps import permute_factors
-    j = permute_factors(j, dims, [0, 1, 3, 2])
-    return ChoiMap(out.out_dims, (out.in_dims[1], out.in_dims[0]), j)
+    (o1, o2), (i1, i2) = cm.out_dims, cm.in_dims
+    j = regroup(cm.J, [(o1,), (o2,), (i1,), (i2,)], [1, 0, 3, 2])
+    return ChoiMap((o2, o1), (i2, i1), j)
 
 
 class TestPartyBridges:
