@@ -118,12 +118,7 @@ def mk_classical(n: int) -> CausObject:
 
 def mk_all_states(a: CausObject) -> CausObject:
     """First-order type on the same factors as ``a``: every density matrix."""
-    d = a.dim
-    iv = vec_identity(d)
-    rows = (iv / math.sqrt(d))[None, :]
-    vals = np.array([1.0 / math.sqrt(d)])
-    states = AffineSubspace.from_constraints(d, rows, vals, orthonormal=True)
-    return CausObject(a.factor_dims, states, label=f"|{a.label}|")
+    return CausObject(a.factor_dims, mk_first_order(a.dim).states, label=f"|{a.label}|")
 
 
 # -- connectives -------------------------------------------------------------
@@ -187,7 +182,7 @@ def _kron_rows(left: np.ndarray, right: np.ndarray, na: int, nb: int) -> np.ndar
     return np.einsum('tkm,tlm->klm', lt, rt).reshape(-1, na * na * nb * nb)
 
 
-def tensor_obj(a: CausObject, b: CausObject, *, label: str | None = None) -> CausObject:
+def tensor_obj(a: CausObject, b: CausObject) -> CausObject:
     """Product type: the affine hull of products of states, in closed form.
 
     With min-norm bases ``ba``, ``bb`` orthogonal to orthonormal directions
@@ -196,7 +191,7 @@ def tensor_obj(a: CausObject, b: CausObject, *, label: str | None = None) -> Cau
     product these rows are orthonormal and orthogonal to the base, so the
     rank is ``ra*rb + ra + rb`` with no rank decision to make.
     """
-    lab = label or f"({a.label}*{b.label})"
+    lab = f"({a.label}*{b.label})"
     if a.dim == 1:
         return CausObject(b.factor_dims, b.states, effects=b._effects, label=lab)
     if b.dim == 1:
@@ -229,7 +224,7 @@ def hom_obj(a: CausObject, b: CausObject) -> CausObject:
     return par_obj(dual_obj(a), b, label=f"[{a.label},{b.label}]")
 
 
-def seq_obj(a: CausObject, b: CausObject, *, label: str | None = None) -> CausObject:
+def seq_obj(a: CausObject, b: CausObject) -> CausObject:
     """One-way composite: b may depend on a but cannot influence it.
 
     Cut out of the par hull by linear slice conditions: contracting the
@@ -237,7 +232,7 @@ def seq_obj(a: CausObject, b: CausObject, *, label: str | None = None) -> CausOb
     slice rows are stacked onto the par hull's constraint rows and solved
     once, so the hull stays in constraint form.
     """
-    lab = label or f"({a.label}<{b.label})"
+    lab = f"({a.label}<{b.label})"
     p = par_obj(a, b)
     if b.first_order or a.dim == 1 or b.dim == 1:
         # no effect directions to test; the composite collapses to par
@@ -342,14 +337,13 @@ def par_member(x: np.ndarray, a: CausObject, b: CausObject,
     return float(np.max(np.abs(pair - 1.0))) <= tol * scale
 
 
-def seq_member(x: np.ndarray, a: CausObject, b: CausObject,
-               tol: float | None = None, *, require_psd: bool = True) -> bool:
+def seq_member(x: np.ndarray, a: CausObject, b: CausObject) -> bool:
     """Membership in the one-way composite without building the composite type."""
-    tol = TOLS.sub if tol is None else tol
+    tol = TOLS.sub
     x = check_hermitian(x, tol=max(TOLS.herm, tol))
     if x.shape[0] != a.dim * b.dim:
         raise ShapeMismatchError("state dimension does not match the composite")
-    if require_psd and not psd_check(x, tol):
+    if not psd_check(x, tol):
         return False
     if not par_member(x, a, b, tol, require_psd=False):
         return False
@@ -363,18 +357,17 @@ def seq_member(x: np.ndarray, a: CausObject, b: CausObject,
 
 
 def interchange_check(a_state: np.ndarray, a: CausObject, b: CausObject,
-                      c_state: np.ndarray, c: CausObject, d: CausObject,
-                      tol: float | None = None) -> bool:
+                      c_state: np.ndarray, c: CausObject, d: CausObject) -> bool:
     """Product of one-way states, reordered by parties, stays one-way."""
     blocks = [o.factor_dims for o in (a, b, c, d)]
     prod = regroup(np.kron(a_state, c_state), blocks, [0, 2, 1, 3])
     t_ac = tensor_obj(a, c)
     t_bd = tensor_obj(b, d)
-    return seq_member(prod, t_ac, t_bd, tol)
+    return seq_member(prod, t_ac, t_bd)
 
 
-def objects_equal(a: CausObject, b: CausObject, tol: float | None = None) -> bool:
-    return a.dim == b.dim and a.states.equals(b.states, tol)
+def objects_equal(a: CausObject, b: CausObject) -> bool:
+    return a.dim == b.dim and a.states.equals(b.states)
 
 
 # -- bridges between process matrices and hom states ---------------------------
@@ -384,8 +377,7 @@ def state_of_choi(cm: ChoiMap) -> np.ndarray:
     return transpose_channel(cm).J
 
 
-def choi_of_state(mat: np.ndarray, in_dims, out_dims, *,
-                  validate: bool = False) -> ChoiMap:
+def choi_of_state(mat: np.ndarray, in_dims, out_dims) -> ChoiMap:
     in_dims = _wire_dims(in_dims) or (1,)
     out_dims = _wire_dims(out_dims) or (1,)
     di = math.prod(in_dims)
@@ -394,4 +386,4 @@ def choi_of_state(mat: np.ndarray, in_dims, out_dims, *,
         raise ShapeMismatchError(
             f"state dim {mat.shape[0]} does not match {di} -> {do}")
     j = regroup(mat, [in_dims, out_dims], [1, 0])
-    return ChoiMap(out_dims, in_dims, j, validate=validate)
+    return ChoiMap(out_dims, in_dims, j, validate=False)

@@ -28,7 +28,7 @@ from .errors import (CaustykError, ElaborationError, HermiticityError,
 from .io import (choi_from_json, choi_to_json, complex_to_json, load_choi,
                  load_matrix, load_pair, pair_to_json)
 from .sampling import rng_from
-from .signalling import (SignalVerdict, coend_equiv, comb_decompose,
+from .signalling import (coend_equiv, comb_decompose,
                          equiv_certificate, nonsignalling_test)
 
 _USAGE_ERRORS = (TypeSyntaxError, ElaborationError, InvalidDimensionError,

@@ -337,13 +337,13 @@ class Isometry:
         return f"Isometry(in={self.in_dim}, out={self.out_dims})"
 
 
-def stinespring(choi: ChoiMap, tol: float | None = None) -> tuple[Isometry, int]:
+def stinespring(choi: ChoiMap) -> tuple[Isometry, int]:
     """Minimal dilation ``V : in -> out (x) env`` with ``env = rank(J)``.
 
     ``V`` is an isometry when the map is trace preserving, otherwise a
     contraction.
     """
-    tol = TOLS.psd if tol is None else tol
+    tol = TOLS.psd
     J = check_hermitian(choi.J)
     vals, vecs = np.linalg.eigh(J)
     scale = max(float(vals[-1]), 0.0)
@@ -362,13 +362,13 @@ def stinespring(choi: ChoiMap, tol: float | None = None) -> tuple[Isometry, int]
     return iso, env
 
 
-def dilation_isometry(p1: Isometry, p2: Isometry, tol: float | None = None) -> Isometry:
+def dilation_isometry(p1: Isometry, p2: Isometry) -> Isometry:
     """The isometry ``v`` on environments with ``(I (x) v) V1 = V2``.
 
     ``p1`` must be a minimal dilation; both must dilate the same map (their
     environment-traced Choi matrices must agree).
     """
-    tol = TOLS.roundtrip if tol is None else tol
+    tol = TOLS.roundtrip
     if p1.in_dim != p2.in_dim:
         raise ShapeMismatchError("dilations have different input dimensions")
     sys1, e1 = math.prod(p1.out_dims[:-1]), p1.out_dims[-1]
@@ -398,10 +398,9 @@ def dilation_isometry(p1: Isometry, p2: Isometry, tol: float | None = None) -> I
 # shadows
 # ---------------------------------------------------------------------------
 
-def support_projector(rho: np.ndarray, tol: float | None = None) -> np.ndarray:
-    tol = TOLS.psd if tol is None else tol
+def support_projector(rho: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(check_hermitian(rho))
-    keep = vals > tol * max(float(vals[-1]), 1.0)
+    keep = vals > TOLS.psd * max(float(vals[-1]), 1.0)
     u = vecs[:, keep]
     return u @ u.conj().T
 
@@ -415,8 +414,7 @@ def conditional_expectation(proj: np.ndarray, omega: np.ndarray) -> ChoiMap:
 
 
 def shadow(sigma: ChoiMap, dil: Isometry, mediator_dim: int,
-           relation: ChoiMap | None = None, *,
-           tol: float | None = None) -> tuple[ChoiMap, dict]:
+           relation: ChoiMap | None = None) -> tuple[ChoiMap, dict]:
     """Idempotent shadow of a dilation on its mediator block.
 
     ``dil`` is a dilation whose trailing output factors of total dimension
@@ -428,7 +426,6 @@ def shadow(sigma: ChoiMap, dil: Isometry, mediator_dim: int,
     absorption equations. Residuals for all of these are reported; exceeding
     tolerance raises :class:`ShadowNotFoundError`.
     """
-    tol = TOLS.roundtrip if tol is None else tol
     if sigma.d_in % mediator_dim:
         raise ShapeMismatchError("sigma input does not contain the mediator block")
     spectator = sigma.d_in // mediator_dim
@@ -448,13 +445,10 @@ def shadow(sigma: ChoiMap, dil: Isometry, mediator_dim: int,
         "trace_preserving": pi.trace_defect(),
     }
     dil_choi = dil.as_choi()
-    absorbed = dil_choi.act_on_out(len(dil.out_dims) - 1, 1, pi) \
-        if mediator_dim == dil.out_dims[-1] else None
-    if absorbed is None:
-        # mediator spans several trailing factors; act on the merged block
-        grouped = ChoiMap((d_sys, mediator_dim), (dil.in_dim,), dil_choi.J,
-                          validate=False)
-        absorbed = grouped.act_on_out(1, 1, pi)
+    # the mediator may span several trailing factors; act on the merged block
+    grouped = ChoiMap((d_sys, mediator_dim), (dil.in_dim,), dil_choi.J,
+                      validate=False)
+    absorbed = grouped.act_on_out(1, 1, pi)
     residuals["absorb_dilation"] = float(np.max(np.abs(absorbed.J - dil_choi.J)))
     if relation is not None:
         pi_ext = pi if spectator == 1 else pi.tensor(
@@ -463,7 +457,7 @@ def shadow(sigma: ChoiMap, dil: Isometry, mediator_dim: int,
         rhs = relation.compose(pi_ext, validate=False)
         scale = max(float(np.max(np.abs(lhs.J))), 1.0)
         residuals["absorb_relation"] = float(np.max(np.abs(lhs.J - rhs.J))) / scale
-    bad = {k: v for k, v in residuals.items() if v > max(tol, 1e-8) * 100}
+    bad = {k: v for k, v in residuals.items() if v > max(TOLS.roundtrip, 1e-8) * 100}
     if bad:
         raise ShadowNotFoundError(
             f"absorption equations violated: {bad}", residuals=residuals)
@@ -474,7 +468,7 @@ def shadow(sigma: ChoiMap, dil: Isometry, mediator_dim: int,
 # classical control
 # ---------------------------------------------------------------------------
 
-def ctrl(states, *, tol: float | None = None) -> ChoiMap:
+def ctrl(states) -> ChoiMap:
     """Classically controlled preparation ``x -> sum_i <i|x|i> rho_i``.
 
     Defined on the diagonal subalgebra and extended by dephasing first, so the
@@ -487,9 +481,8 @@ def ctrl(states, *, tol: float | None = None) -> ChoiMap:
     d = states[0].shape[0]
     if any(s.shape != (d, d) for s in states):
         raise ShapeMismatchError("branch states must share one dimension")
-    tol = TOLS.psd if tol is None else tol
     for i, s in enumerate(states):
-        if not psd_check(s, tol) or abs(np.trace(s).real - 1.0) > 1e-8 * d:
+        if not psd_check(s) or abs(np.trace(s).real - 1.0) > 1e-8 * d:
             raise InconsistencyError(f"branch {i} is not a density matrix")
     n = len(states)
     J = np.zeros((d * n, d * n), dtype=complex)

@@ -31,7 +31,6 @@ from .sampling import (random_coarse_graining, random_decomp_pair,
                        random_first_order, random_state_morphism, rng_from,
                        sample_member)
 from .signalling import DecompPair, coend_equiv, comb_decompose, recompose
-from .tolerances import TOLS
 
 # contract tolerances of the audited laws
 FUNCTOR_TOL = 1e-10
@@ -191,8 +190,7 @@ def lax_seq(pair: DecompPair) -> np.ndarray:
 
 def inverse_seq(tau: np.ndarray, a: CausObject, b: CausObject,
                 x: CausObject, xp: CausObject, *,
-                a_inputs: int = 0, b_inputs: int = 0,
-                tol: float | None = None) -> DecompPair:
+                a_inputs: int = 0, b_inputs: int = 0) -> DecompPair:
     """Split one element over (X, X') into two teeth joined by a minimal wire.
 
     ``a_inputs`` (``b_inputs``) says how many leading factors of the first
@@ -215,16 +213,14 @@ def inverse_seq(tau: np.ndarray, a: CausObject, b: CausObject,
     # gather the input wires in front
     st = regroup(tau, [fx, fa_in, fa_out, fb_in, fb_out, fxp], [0, 1, 3, 2, 4, 5])
     cm = choi_of_state(st, fx + fa_in + fb_in, fa_out + fb_out + fxp)
-    return comb_decompose(cm, n_out_a=len(fa_out),
-                          n_in_a=len(fx) + a_inputs, tol=tol)
+    return comb_decompose(cm, n_out_a=len(fa_out), n_in_a=len(fx) + a_inputs)
 
 
 # ---------------------------------------------------------------------------
 # separation and reconstruction
 # ---------------------------------------------------------------------------
 
-def faithfulness_probe(f: CausMorphism, g: CausMorphism,
-                       tol: float | None = None) -> bool:
+def faithfulness_probe(f: CausMorphism, g: CausMorphism) -> bool:
     """True iff the two maps differ, decided on one entangled probe.
 
     The image of the scaled pair state at boundary (unit, all states of the
@@ -233,7 +229,6 @@ def faithfulness_probe(f: CausMorphism, g: CausMorphism,
     """
     if f.source.dim != g.source.dim or f.target.dim != g.target.dim:
         return True
-    tol = PROBE_TOL if tol is None else tol
     a = f.source
     alpha = a.flat_lambda
     probe = alpha * cup_state(a.dim)
@@ -242,7 +237,7 @@ def faithfulness_probe(f: CausMorphism, g: CausMorphism,
     dist = float(np.linalg.norm(delta)) / alpha
     scale = max(1.0, float(np.linalg.norm(f.map.J)),
                 float(np.linalg.norm(g.map.J)))
-    return dist > tol * scale
+    return dist > PROBE_TOL * scale
 
 
 @dataclass
@@ -296,11 +291,11 @@ class ReconstructReport:
         return self.status == "ok"
 
 
-def _boundary_pair(rng, a_dim: int, cap: int = _DIM_CAP):
+def _boundary_pair(rng, a_dim: int):
     while True:
         x = random_first_order(rng)
         xp = random_first_order(rng)
-        if x.dim * a_dim * xp.dim <= cap:
+        if x.dim * a_dim * xp.dim <= _DIM_CAP:
             return x, xp
 
 
@@ -370,8 +365,7 @@ class StrongClosureReport:
 
 def strong_closure_check(a: CausObject, b: CausObject,
                          x: CausObject, xp: CausObject, *,
-                         rng=None, n_members: int = 50,
-                         tol: float | None = None) -> StrongClosureReport:
+                         rng=None, n_members: int = 50) -> StrongClosureReport:
     """Audit that rebending identifies the hom family with maps out of ``a``.
 
     Family side: states of [X, [A,B] (par) X'].  Bent side: states of
@@ -379,7 +373,6 @@ def strong_closure_check(a: CausObject, b: CausObject,
     the check is rank equality, two-way membership transport on samples,
     and an exact round trip.
     """
-    tol = REBEND_TOL if tol is None else tol
     rng = rng_from(0 if rng is None else rng)
     _require_boundary(x, xp)
     lhs = F_eval(hom_obj(a, b), x, xp).carrier
@@ -398,10 +391,10 @@ def strong_closure_check(a: CausObject, b: CausObject,
     rr = 0.0
     for _ in range(max(1, n_members // 2)):
         m = sample_member(lhs, rng)
-        failed += not member(rhs, bend(m), tol=None)
+        failed += not member(rhs, bend(m))
         rr = max(rr, _rel(unbend(bend(m)) - m, m))
         m2 = sample_member(rhs, rng)
-        failed += not member(lhs, unbend(m2), tol=None)
+        failed += not member(lhs, unbend(m2))
         total += 2
     return StrongClosureReport(rank_family=lhs.states.rank(),
                                rank_bent=rhs.states.rank(),

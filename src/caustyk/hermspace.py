@@ -316,18 +316,17 @@ class AffineSubspace:
 
     # -- relations ---------------------------------------------------------
 
-    def is_subset(self, other: "AffineSubspace", tol: float | None = None) -> bool:
-        tol = TOLS.sub if tol is None else tol
+    def is_subset(self, other: "AffineSubspace") -> bool:
         if self.matrix_dim != other.matrix_dim:
             raise ShapeMismatchError("subspaces live on different matrix dimensions")
         if self.rank() > other.rank():
             return False
         # pick the orientation that avoids materializing a large basis
         if self._dirs is None and other._dirs is None:
-            return other.dual().is_subset(self.dual(), tol)
+            return other.dual().is_subset(self.dual())
         if self._dirs is None and self.rank() > self._m // 2:
-            return other.dual().is_subset(self.dual(), tol)
-        if not other.contains_vec(self.base_vec(), tol):
+            return other.dual().is_subset(self.dual())
+        if not other.contains_vec(self.base_vec()):
             return False
         d = self.dirs_coords()
         if d.shape[0] == 0:
@@ -338,11 +337,11 @@ class AffineSubspace:
             od = other._dirs
             resid = float(np.max(np.abs(d - (d @ od.T) @ od))) if od.shape[0] else \
                 float(np.max(np.abs(d)))
-        return resid <= tol * 10
+        return resid <= TOLS.sub * 10
 
-    def equals(self, other: "AffineSubspace", tol: float | None = None) -> bool:
-        return self.rank() == other.rank() and self.is_subset(other, tol) \
-            and other.contains_vec(self.base_vec(), TOLS.sub if tol is None else tol)
+    def equals(self, other: "AffineSubspace") -> bool:
+        return self.rank() == other.rank() and self.is_subset(other) \
+            and other.contains_vec(self.base_vec())
 
     # -- specialized operations --------------------------------------------
 

@@ -106,7 +106,7 @@ def choi_from_json(data: dict, *, validate: bool = False) -> ChoiMap:
                    json_to_complex(data["J"]), validate=validate)
 
 
-def load_choi(path: str, fmt: str = "json", *, validate: bool = False) -> ChoiMap:
+def load_choi(path: str, fmt: str = "json") -> ChoiMap:
     if fmt == "raw":
         meta = _read_sidecar(path)
         out_dims = tuple(int(d) for d in meta["out_dims"])
@@ -116,10 +116,9 @@ def load_choi(path: str, fmt: str = "json", *, validate: bool = False) -> ChoiMa
         if flat.size != n * n:
             raise ShapeMismatchError(
                 f"raw file holds {flat.size} entries, dims want {n}x{n}")
-        return ChoiMap(out_dims, in_dims, flat.reshape(n, n),
-                       validate=validate)
+        return ChoiMap(out_dims, in_dims, flat.reshape(n, n), validate=False)
     data = json.loads(Path(path).read_text())
-    return choi_from_json(data, validate=validate)
+    return choi_from_json(data)
 
 
 def save_choi(path: str, cm: ChoiMap, fmt: str = "json") -> None:

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .causobj import (CausObject, dual_obj, hom_obj, mk_classical,
+from .causobj import (CausMorphism, CausObject, dual_obj, hom_obj, mk_classical,
                       mk_first_order, par_obj, seq_obj, tensor_obj)
-from .cpmaps import ChoiMap, choi_of_kraus, structural
+from .cpmaps import ChoiMap, choi_of_kraus, regroup, structural, transpose_channel
 from .errors import CaustykError, InconsistencyError
 from .hermspace import coords_to_herm, herm_to_coords, min_eig
+from .signalling import DecompPair, med_precompose
 from .tolerances import TOLS
 
 
@@ -24,9 +25,8 @@ def random_unitary(rng, d: int) -> np.ndarray:
     return q * ph
 
 
-def random_density(rng, d: int, rank: int | None = None) -> np.ndarray:
-    r = rank or d
-    g = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
+def random_density(rng, d: int) -> np.ndarray:
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
 
@@ -39,8 +39,8 @@ def random_isometry(rng, d_in: int, d_out: int) -> np.ndarray:
     return q
 
 
-def random_cptp(rng, d_in: int, d_out: int, env: int | None = None) -> ChoiMap:
-    env = env or max(d_out, -(-d_in // d_out))   # isometry needs d_out*env >= d_in
+def random_cptp(rng, d_in: int, d_out: int) -> ChoiMap:
+    env = max(d_out, -(-d_in // d_out))   # isometry needs d_out*env >= d_in
     v = random_isometry(rng, d_in, d_out * env)
     kraus = v.reshape(d_out, env, d_in).transpose(1, 0, 2)
     return choi_of_kraus(list(kraus), d_in, d_out)
@@ -153,7 +153,6 @@ def identity_comb_name(d: int = 2) -> np.ndarray:
 
 def random_decomp_pair(rng, d: int = 2, z: int = 2):
     """A random one-way decomposition with qubit party legs."""
-    from .signalling import DecompPair
     r = random_cptp(rng, d, d * z)
     rho = ChoiMap((d, z), (d,), r.J)
     s = random_cptp(rng, z * d, d)
@@ -167,7 +166,6 @@ def pad_pair(pair, rng, extra: int = 2):
     The first tooth embeds isometrically; the second inverts on the support
     and mixes off it, so the composite is untouched exactly.
     """
-    from .signalling import DecompPair, med_precompose
     z = pair.z_dim
     znew = z + extra
     w = random_isometry(rng, z, znew)
@@ -183,7 +181,6 @@ def pad_pair(pair, rng, extra: int = 2):
 
 def rotate_pair(pair, rng):
     """Equivalent decomposition differing by a mediator unitary."""
-    from .signalling import DecompPair, med_precompose
     z = pair.z_dim
     u = random_unitary(rng, z)
     fwd = choi_of_kraus([u], z, z)
@@ -202,7 +199,6 @@ def _state_trace(a: CausObject) -> float:
 
 def random_state_morphism(rng, a: CausObject, b: CausObject):
     """A random map between first-order types; any channel qualifies."""
-    from .causobj import CausMorphism
     cm = random_cptp(rng, a.dim, b.dim)
     return CausMorphism(map=ChoiMap(b.factor_dims or (1,), a.factor_dims or (1,),
                                     cm.J, validate=False),
@@ -216,8 +212,6 @@ def random_channel_supermap(rng, src: CausObject, tgt: CausObject):
     factor layout (input copy, output).  A convex mixture of two pre/post
     sandwiches stays inside the valid supermaps.
     """
-    from .causobj import CausMorphism
-    from .cpmaps import transpose_channel
     (ai, ao), (bi, bo) = src.factor_dims, tgt.factor_dims
     w = rng.dirichlet(np.ones(2))
     j = np.zeros((tgt.dim * src.dim, tgt.dim * src.dim), dtype=complex)
@@ -231,7 +225,6 @@ def random_channel_supermap(rng, src: CausObject, tgt: CausObject):
 
 def random_coarse_graining(rng, src: CausObject, tgt: CausObject):
     """A random map into a first-order target: any channel, trace-rescaled."""
-    from .causobj import CausMorphism
     if not tgt.first_order:
         raise InconsistencyError(
             f"coarse graining needs a first-order target, got {tgt.label!r}")
@@ -248,11 +241,10 @@ def random_comb_relaxation(rng, src: CausObject, tgt: CausObject):
     ``src`` = first-then-second over two channel factors, ``tgt`` the same
     parties with the ordering constraint dropped; factor layout
     (first in, first out, second in, second out).  Party-local sandwiches
-    keep combs combs; when the party shapes match, a mixture with the
-    role-swapped version leaves the one-way set while staying valid.
+    keep combs combs; when the party shapes match, the draw is mixed with a
+    role-swapped version, which swaps the parties on both sides and so is
+    again party-local: the mixture stays inside the one-way set.
     """
-    from .causobj import CausMorphism
-    from .cpmaps import regroup, transpose_channel
     ai, ao, bi, bo = src.factor_dims
 
     def local(di, do):

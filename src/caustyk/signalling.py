@@ -37,12 +37,11 @@ def party_name(cm: ChoiMap, n_out_a: int, n_in_a: int) -> np.ndarray:
     return regroup(cm.J, blocks, [2, 0, 3, 1])
 
 
-def party_choi(mat: np.ndarray, out_dims, in_dims, n_out_a: int, n_in_a: int,
-               *, validate: bool = False) -> ChoiMap:
+def party_choi(mat: np.ndarray, out_dims, in_dims, n_out_a: int, n_in_a: int) -> ChoiMap:
     """Inverse of :func:`party_name`."""
     o, i = tuple(out_dims), tuple(in_dims)
     blocks = [i[:n_in_a], o[:n_out_a], i[n_in_a:], o[n_out_a:]]
-    return ChoiMap(o, i, regroup(mat, blocks, [1, 3, 0, 2]), validate=validate)
+    return ChoiMap(o, i, regroup(mat, blocks, [1, 3, 0, 2]), validate=False)
 
 
 def _depends_on_block(marg: ChoiMap, split: int, probe_right: bool,
@@ -112,13 +111,12 @@ class DecompPair:
     z_dim: int
 
     def validate_typing(self, a: CausObject, b: CausObject,
-                        x: CausObject, xp: CausObject,
-                        tol: float | None = None) -> bool:
+                        x: CausObject, xp: CausObject) -> bool:
         z = mk_first_order(self.z_dim)
         first = hom_obj(x, par_obj(a, z))
         second = hom_obj(tensor_obj(z, xp), b)
-        return (member(first, state_of_choi(self.rho), tol)
-                and member(second, state_of_choi(self.sigma), tol))
+        return (member(first, state_of_choi(self.rho))
+                and member(second, state_of_choi(self.sigma)))
 
 
 def med_precompose(sigma: ChoiMap, ch: ChoiMap) -> ChoiMap:

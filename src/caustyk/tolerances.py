@@ -18,9 +18,12 @@ _BASE = 1e-9
 class Tolerances:
     """Bundle of numerical thresholds used across the package.
 
+    Each field drives at least one decision in the package. Only the
+    functions behind a CLI verdict, and the membership and matrix checks
+    they call, take a per-call ``tol`` in place of these defaults.
+
     Attributes:
         herm: allowed deviation from Hermiticity.
-        orth: allowed deviation from orthonormality of basis rows.
         psd: eigenvalue floor for positive-semidefinite checks.
         sub: base rank/containment tolerance for subspaces. Rank decisions are
             scale-aware: singular values count when they exceed
@@ -31,7 +34,6 @@ class Tolerances:
     """
 
     herm: float = 1e-10
-    orth: float = 1e-10
     psd: float = 1e-9
     sub: float = 1e-9
     decomp: float = 1e-6
@@ -56,7 +58,6 @@ def _from_env() -> Tolerances:
     s = base / _BASE
     return Tolerances(
         herm=1e-10 * s,
-        orth=1e-10 * s,
         psd=1e-9 * s,
         sub=base,
         decomp=1e-6 * s,

@@ -21,7 +21,6 @@ from caustyk.errors import (FlatnessError, InvalidDimensionError, MorphismError,
                             ShapeMismatchError)
 from caustyk.hermspace import AffineSubspace, coords_to_herm, herm_to_coords
 from caustyk.sampling import random_object
-from caustyk.tolerances import TOLS
 
 
 def random_cptp(rng, din, dout, env=None):
@@ -348,13 +347,14 @@ class TestClosedForms:
             assert grid.equals(t), (a.label, b.label)
 
     def test_tensor_directions_orthonormal_to_base(self, type_pairs):
+        orth = 1e-10
         for a, b in type_pairs:
             t = tensor_obj(a, b).states
             dirs, base = t.dirs_coords(), t.base_vec()
             gram = dirs @ dirs.T
-            assert np.max(np.abs(gram - np.eye(len(gram))), initial=0.0) <= TOLS.orth
+            assert np.max(np.abs(gram - np.eye(len(gram))), initial=0.0) <= orth
             assert np.max(np.abs(dirs @ base), initial=0.0) <= \
-                TOLS.orth * max(1.0, np.linalg.norm(base))
+                orth * max(1.0, np.linalg.norm(base))
 
     def test_seq_equals_par_intersected_with_slices(self, type_pairs):
         cut = 0

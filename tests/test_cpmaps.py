@@ -144,6 +144,53 @@ class TestRegroup:
         assert offenders == []
 
 
+def _call_name(node: ast.Call):
+    f = node.func
+    return f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+
+
+def _defaulted(fn: ast.FunctionDef, bound: bool):
+    """(name, position among the call's arguments or None) per defaulted parameter."""
+    a = fn.args
+    pos = (a.posonlyargs + a.args)[int(bound):]
+    first = len(pos) - len(a.defaults)
+    return ([(p.arg, i) for i, p in enumerate(pos) if i >= first]
+            + [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None])
+
+
+def test_every_defaulted_option_has_a_caller():
+    # an option no code sets is a constant in disguise; matching is by callee name
+    root = Path(__file__).resolve().parents[1]
+    calls: dict[str, list[ast.Call]] = {}
+    for d in ("src", "tests", "perfbench"):
+        for path in sorted((root / d).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    calls.setdefault(_call_name(node), []).append(node)
+
+    def passes(call, name, pos):
+        if any(k.arg in (name, None) for k in call.keywords):
+            return True
+        return pos is not None and len(call.args) > pos
+
+    unset = []
+    for path in sorted((root / "src" / "caustyk").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                 for f in c.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            cls = owner.get(id(fn))
+            static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+            names = {cls, "cls"} if fn.name == "__init__" else {fn.name}
+            for name, pos in _defaulted(fn, cls is not None and not static):
+                if not any(passes(c, name, pos) for n in names for c in calls.get(n, [])):
+                    qual = f"{cls}.{fn.name}" if cls else fn.name
+                    unset.append(f"{path.stem}.{qual}({name}=)")
+    assert not unset, f"{len(unset)} options no code sets: {', '.join(unset)}"
+
+
 class TestChoiForms:
     def test_kraus_oracle_upper_units(self):
         # rho -> |0><0| rho |0><0| + |0><1| rho |1><0| maps everything onto |0><0|
