@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cpmaps import ChoiMap, regroup, structural, transpose_channel
-from .errors import (FlatnessError, InvalidDimensionError, MorphismError,
-                     ShapeMismatchError)
+from .errors import (FlatnessError, HermiticityError, InvalidDimensionError,
+                     MorphismError, ShapeMismatchError)
 from .hermspace import (AffineSubspace, check_hermitian, coords_to_herm,
                         herm_to_coords, min_eig, psd_check, vec_identity)
 from .tolerances import TOLS
@@ -272,8 +272,14 @@ def membership_report(obj: CausObject, mat: np.ndarray,
 
 def check_morphism(f: ChoiMap, a: CausObject, b: CausObject,
                    tol: float | None = None) -> CausMorphism:
-    """Validate ``f`` as a map of types; CP and hull failures report separately."""
+    """Validate ``f`` as a map of types; each kind of failure reports separately."""
     tol = TOLS.sub if tol is None else tol
+    try:
+        check_hermitian(f.J, tol=max(TOLS.herm, tol))
+    except HermiticityError as err:
+        defect = float(np.max(np.abs(f.J - f.J.conj().T)))
+        raise MorphismError(f"map is not Hermiticity preserving: {err}",
+                            reason="hermiticity", residual=defect) from None
     if f.d_in != a.dim or f.d_out != b.dim:
         raise ShapeMismatchError(
             f"map has shape {f.d_in}->{f.d_out}, types have {a.dim}->{b.dim}")

@@ -87,11 +87,6 @@ def _retyped(cm: ChoiMap, in_dims, out_dims) -> ChoiMap:
                    validate=False)
 
 
-def _herm_defect(j: np.ndarray) -> float:
-    return float(np.linalg.norm(j - j.conj().T)
-                 / max(1.0, float(np.linalg.norm(j))))
-
-
 # ---------------------------------------------------------------------------
 # verbs
 # ---------------------------------------------------------------------------
@@ -133,10 +128,6 @@ def _cmd_morphism(args) -> int:
     _, src = _elab(args.source)
     _, tgt = _elab(args.target)
     cm = load_choi(args.file, args.format)
-    defect = _herm_defect(cm.J)
-    if defect > 1e-9:
-        _emit({"verdict": False, "reason": "hermiticity", "residual": defect})
-        return 1
     try:
         check_morphism(cm, src, tgt, tol=args.tol)
     except MorphismError as err:

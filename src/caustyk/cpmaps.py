@@ -316,7 +316,7 @@ class Isometry:
                 f"isometry shape {v.shape}, expected {(self.d_out, self.in_dim)}")
         gram = v.conj().T @ v
         dev = float(np.max(np.abs(gram - np.eye(self.in_dim))))
-        if dev > 1e-9 * max(1.0, float(np.max(np.abs(gram)))):
+        if dev > TOLS.psd * max(1.0, float(np.max(np.abs(gram)))):
             if not allow_contraction:
                 raise InconsistencyError(f"matrix is not an isometry (deviation {dev:.3e})")
             if min_eig(np.eye(self.in_dim) - gram) < -TOLS.psd:
@@ -386,12 +386,11 @@ def dilation_isometry(p1: Isometry, p2: Isometry) -> Isometry:
     resid = float(np.linalg.norm(a @ x - b))
     if resid > tol * max(float(np.linalg.norm(b)), 1.0) * 10:
         raise NoIsometryError(f"no exact intertwiner exists (residual {resid:.3e})")
-    v = x.T
-    gram = v.conj().T @ v
-    if float(np.max(np.abs(gram - np.eye(e1)))) > 1e-7:
+    try:
+        return Isometry(x.T, e1, (e2,))
+    except InconsistencyError as exc:
         raise NoIsometryError(
-            "intertwiner is not an isometry; was the first dilation minimal?")
-    return Isometry(v, e1, (e2,))
+            f"intertwiner {exc}; was the first dilation minimal?") from None
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ Dimension literals are ASCII digits and must be positive.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .causobj import (CausObject, dual_obj, hom_obj, mk_all_states,
@@ -277,15 +278,9 @@ def print_type(e: TypeExpr) -> str:
 # elaboration
 # ---------------------------------------------------------------------------
 
-_MEMO: dict[str, CausObject] = {}
-
-
+@functools.cache
 def elaborate(e: TypeExpr) -> CausObject:
-    """Build the object a tree denotes, memoized on printed subtrees."""
-    key = print_type(e)
-    hit = _MEMO.get(key)
-    if hit is not None:
-        return hit
+    """Build the object a tree denotes, memoized on the (frozen) tree."""
     if isinstance(e, Atom):
         if e.kind == "I":
             obj = mk_unit()
@@ -309,7 +304,6 @@ def elaborate(e: TypeExpr) -> CausObject:
         obj = hom_obj(elaborate(e.source), elaborate(e.target))
     else:
         raise ElaborationError(f"not a type expression: {e!r}")
-    _MEMO[key] = obj
     return obj
 
 

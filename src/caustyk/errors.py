@@ -44,8 +44,9 @@ class FlatnessError(InconsistencyError):
 class MorphismError(CaustykError):
     """A candidate map failed the morphism check.
 
-    ``reason`` is ``"cp"`` for complete-positivity failures and ``"affine"``
-    for state-set containment failures; ``residual`` carries the magnitude.
+    ``reason`` is ``"hermiticity"`` for a non-Hermitian Choi matrix, ``"cp"``
+    for complete-positivity failures and ``"affine"`` for state-set
+    containment failures; ``residual`` carries the magnitude.
     """
 
     def __init__(self, message: str, reason: str, residual: float = 0.0):

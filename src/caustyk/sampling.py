@@ -9,7 +9,7 @@ from .causobj import (CausMorphism, CausObject, dual_obj, hom_obj, mk_classical,
 from .cpmaps import ChoiMap, choi_of_kraus, regroup, structural, transpose_channel
 from .errors import CaustykError, InconsistencyError
 from .hermspace import coords_to_herm, herm_to_coords, min_eig
-from .signalling import DecompPair, med_precompose
+from .signalling import DecompPair, med_precompose, recompose
 from .tolerances import TOLS
 
 
@@ -115,13 +115,11 @@ def random_object(rng, *, max_dim: int = 16, depth: int = 3) -> CausObject:
 # -- two-party channel fixtures -------------------------------------------------
 
 def random_oneway_channel(rng, d: int = 2, z: int = 2) -> ChoiMap:
-    """Two-party channel built from two teeth; only the first can signal on."""
-    r = random_cptp(rng, d, d * z)
-    rho = ChoiMap((d, z), (d,), r.J)
-    s = random_cptp(rng, z * d, d)
-    sig = ChoiMap((d,), (z, d), s.J)
-    wide = rho.tensor(structural("identity", d))
-    return wide.act_on_out(1, 2, sig)     # out (a_out, b_out), in (a_in, b_in)
+    """Two-party channel built from two teeth; only the first can signal on.
+
+    Factor layout: out (a_out, b_out), in (a_in, b_in).
+    """
+    return recompose(random_decomp_pair(rng, d, z))
 
 
 def random_twoway_channel(rng, d: int = 2) -> ChoiMap:

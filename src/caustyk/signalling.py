@@ -16,9 +16,9 @@ import numpy as np
 from .causobj import (CausObject, hom_obj, member, mk_first_order, par_obj,
                       state_of_choi, tensor_obj)
 from .cpmaps import (ChoiMap, Isometry, choi_of_kraus, dilation_isometry,
-                     regroup, shadow, stinespring, structural)
+                     regroup, stinespring, structural)
 from .errors import (InconsistencyError, NoIsometryError, NotOneWayError,
-                     ShadowNotFoundError, ShapeMismatchError)
+                     ShapeMismatchError)
 from .hermspace import check_hermitian, min_eig
 from .tolerances import TOLS
 
@@ -236,7 +236,7 @@ def coend_equiv(p1: DecompPair, p2: DecompPair, tol: float | None = None) -> boo
 class SlideStep:
     channel: ChoiMap
     direction: str            # "right": mediator map moves into the second tooth
-    kind: str                 # "discard" | "isometry" | "shadow"
+    kind: str                 # "discard" | "isometry"
     residual: float
     pair_after: DecompPair
 
@@ -248,10 +248,6 @@ class Certificate:
     reason: str | None = None
 
 
-def _mediator_pos(rho: ChoiMap) -> int:
-    return len(rho.out_dims) - 1
-
-
 def _pairs_close(p1: DecompPair, p2: DecompPair, tol: float) -> bool:
     if p1.z_dim != p2.z_dim:
         return False
@@ -259,33 +255,45 @@ def _pairs_close(p1: DecompPair, p2: DecompPair, tol: float) -> bool:
             and float(np.linalg.norm(p1.sigma.J - p2.sigma.J)) <= tol)
 
 
-def _purify_tooth(pair: DecompPair):
-    """Dilate the first tooth; the discarded environment slides rightward."""
+def _onto_frame(pair: DecompPair, frame: Isometry, base_rho: ChoiMap,
+                tol: float):
+    """Carry one decomposition onto the common dilation frame.
+
+    The first tooth is dilated (its environment discard slides into the
+    second tooth), then the dilation is carried onto the frame's minimal
+    mediator by the intertwining isometry. Returns the discard slide, the
+    isometry slide and the second tooth as seen on the frame. A slide is
+    ``(outer pair, inner pair, channel, residual)``, or ``None`` where it
+    would be the identity.
+    """
     iso, env = stinespring(pair.rho)
     z = pair.z_dim
-    # group (z, env) mediator factors
-    pure_rho_wide = iso.as_choi()
-    out_dims = pure_rho_wide.out_dims[:-2] + (z * env,)
-    pure_rho = ChoiMap(out_dims, pair.rho.in_dims, pure_rho_wide.J,
-                       validate=False)
+    rho = ChoiMap(pair.rho.out_dims[:-1] + (z * env,), pair.rho.in_dims,
+                  iso.as_choi().J, validate=False)
     drop = structural("identity", z).tensor(structural("discard", env),
                                             validate=False)
     drop = ChoiMap((z,), (z * env,), drop.J, validate=False)
-    sigma_new = med_precompose(pair.sigma, drop)
-    new_pair = DecompPair(rho=pure_rho, sigma=sigma_new, z_dim=z * env)
-    resid = float(np.linalg.norm(
-        pure_rho.act_on_out(_mediator_pos(pure_rho), 1, drop).J - pair.rho.J))
-    return new_pair, drop, resid, iso, env
+    pure = DecompPair(rho=rho, sigma=med_precompose(pair.sigma, drop),
+                      z_dim=z * env)
+    discard = None
+    if env > 1:
+        resid = float(np.linalg.norm(
+            rho.act_on_out(len(rho.out_dims) - 1, 1, drop).J - pair.rho.J))
+        discard = (pair, pure, drop, resid)
 
-
-def _isometry_channel(v: np.ndarray, d_in: int, d_out: int) -> ChoiMap:
-    return choi_of_kraus([v.reshape(d_out, d_in)], d_in, d_out)
-
-
-def _flat_dilation(iso: Isometry, sys: int) -> Isometry:
-    """Regroup a dilation's outputs as (system, environment)."""
-    return Isometry(iso.v, iso.in_dim, (sys, iso.d_out // sys),
-                    allow_contraction=True)
+    d_sys, zstar = frame.out_dims
+    v = dilation_isometry(frame, Isometry(iso.v, iso.in_dim,
+                                          (d_sys, iso.d_out // d_sys),
+                                          allow_contraction=True)).v
+    ch = choi_of_kraus([v], zstar, pure.z_dim)
+    on_frame = DecompPair(rho=base_rho, sigma=med_precompose(pure.sigma, ch),
+                          z_dim=zstar)
+    slide = None
+    if pure.z_dim != zstar or float(np.linalg.norm(v - np.eye(zstar))) > tol:
+        resid = float(np.linalg.norm(
+            base_rho.act_on_out(len(base_rho.out_dims) - 1, 1, ch).J - rho.J))
+        slide = (pure, on_frame, ch, resid)
+    return discard, slide, on_frame.sigma
 
 
 def equiv_certificate(p1: DecompPair, p2: DecompPair,
@@ -304,76 +312,34 @@ def equiv_certificate(p1: DecompPair, p2: DecompPair,
         return Certificate(ok=True, steps=[])
     try:
         tau = recompose(p1)
-        target = recompose(p2).J
         scale = max(1.0, float(np.linalg.norm(tau.J)))
-        steps: list[SlideStep] = []
-
-        def record(pair, chan, direction, kind, resid):
-            drift = float(np.linalg.norm(recompose(pair).J - tau.J)) / scale
-            steps.append(SlideStep(channel=chan, direction=direction, kind=kind,
-                                   residual=max(resid, drift), pair_after=pair))
-
-        pure1, drop1, r1, iso1, env1 = _purify_tooth(p1)
-        if env1 > 1:
-            record(pure1, drop1, "right", "discard", r1)
-        pure2, drop2, r2, iso2, env2 = _purify_tooth(p2)
-
         # common frame: the minimal dilation of the first-party marginal
         minimal = comb_decompose(tau, len(p1.rho.out_dims) - 1,
                                  len(p1.rho.in_dims))
         zstar = minimal.z_dim
-        base_rho = minimal.rho
-        vstar, _ = stinespring(base_rho)   # base_rho is pure: recovers V itself
-        d_sys = vstar.d_out // zstar
-        flatstar = Isometry(vstar.v, vstar.in_dim, (d_sys, zstar),
-                            allow_contraction=True)
+        vstar, _ = stinespring(minimal.rho)   # the tooth is pure: recovers V
+        frame = Isometry(vstar.v, vstar.in_dim, (vstar.d_out // zstar, zstar),
+                         allow_contraction=True)
+        discard1, slide1, sigma1 = _onto_frame(p1, frame, minimal.rho, tol)
+        discard2, slide2, sigma2 = _onto_frame(p2, frame, minimal.rho, tol)
+        if float(np.linalg.norm(sigma1.J - sigma2.J)) > tol * scale:
+            return Certificate(ok=False, steps=[],
+                               reason="certificate unavailable: teeth "
+                                      "disagree on the common frame")
 
-        v1 = dilation_isometry(flatstar, _flat_dilation(iso1, d_sys))
-        ch1 = _isometry_channel(v1.v, zstar, pure1.z_dim)
-        sigma_mid1 = med_precompose(pure1.sigma, ch1)
-        mid1 = DecompPair(rho=base_rho, sigma=sigma_mid1, z_dim=zstar)
-        resid_v1 = float(np.linalg.norm(
-            base_rho.act_on_out(_mediator_pos(base_rho), 1, ch1).J - pure1.rho.J))
-        if pure1.z_dim != zstar \
-                or float(np.linalg.norm(v1.v - np.eye(zstar))) > tol:
-            record(mid1, ch1, "right", "isometry", resid_v1)
-
-        v2 = dilation_isometry(flatstar, _flat_dilation(iso2, d_sys))
-        ch2 = _isometry_channel(v2.v, zstar, pure2.z_dim)
-        sigma_mid2 = med_precompose(pure2.sigma, ch2)
-
-        gap = float(np.linalg.norm(sigma_mid1.J - sigma_mid2.J))
-        if gap > tol * scale:
-            # try a conditional-expectation collapse on the shared frame
-            try:
-                pi, residuals = shadow(sigma_mid1, flatstar, zstar,
-                                       relation=sigma_mid2)
-                mid_shadow = DecompPair(
-                    rho=base_rho,
-                    sigma=med_precompose(sigma_mid1, pi),
-                    z_dim=zstar)
-                record(mid_shadow, pi, "right", "shadow",
-                       max(residuals.values()))
-                sigma_mid1 = mid_shadow.sigma
-                gap = float(np.linalg.norm(sigma_mid1.J - sigma_mid2.J))
-                if gap > tol * scale:
-                    return Certificate(ok=False, steps=[],
-                                       reason="certificate unavailable: teeth "
-                                              "disagree on the common frame")
-            except (ShadowNotFoundError, InconsistencyError):
-                return Certificate(ok=False, steps=[],
-                                   reason="certificate unavailable: teeth "
-                                          "disagree on the common frame")
-
-        resid_v2 = float(np.linalg.norm(
-            base_rho.act_on_out(_mediator_pos(base_rho), 1, ch2).J - pure2.rho.J))
-        if pure2.z_dim != zstar \
-                or float(np.linalg.norm(v2.v - np.eye(zstar))) > tol:
-            record(pure2, ch2, "left", "isometry", resid_v2)
-        if env2 > 1:
-            record(p2, drop2, "left", "discard", r2)
+        steps: list[SlideStep] = []
+        chain = (("right", "discard", discard1), ("right", "isometry", slide1),
+                 ("left", "isometry", slide2), ("left", "discard", discard2))
+        for direction, kind, slide in chain:
+            if slide is None:
+                continue
+            outer, inner, chan, resid = slide
+            after = inner if direction == "right" else outer
+            drift = float(np.linalg.norm(recompose(after).J - tau.J)) / scale
+            steps.append(SlideStep(channel=chan, direction=direction, kind=kind,
+                                   residual=max(resid, drift), pair_after=after))
         final = steps[-1].pair_after if steps else p1
-        end_gap = float(np.linalg.norm(recompose(final).J - target)) / scale
+        end_gap = float(np.linalg.norm(recompose(final).J - recompose(p2).J)) / scale
         if end_gap > tol:
             return Certificate(ok=False, steps=[],
                                reason=f"certificate unavailable: chain drifts "

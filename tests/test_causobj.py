@@ -410,6 +410,31 @@ class TestMorphisms:
         assert ei.value.reason == "affine"
         assert ei.value.residual > 1e-3
 
+    def test_non_hermitian_fails_hermiticity(self):
+        # the symmetrizing eigen and coordinate maps would hide this defect
+        j = structural("identity", 2).J.astype(complex)
+        j[0, 3] += 1e-3j
+        j[3, 0] += 1e-3j
+        f = ChoiMap((2,), (2,), j, validate=False)
+        with pytest.raises(MorphismError) as ei:
+            check_morphism(f, mk_first_order(2), mk_first_order(2))
+        assert ei.value.reason == "hermiticity"
+        assert ei.value.residual == pytest.approx(2e-3)
+
+    def test_hermiticity_gate_follows_membership_tol(self):
+        # a 4e-10 defect sits under the default 1e-9 cut; a larger tol loosens it
+        j = structural("identity", 2).J.astype(complex)
+        j[0, 3] += 2e-10j
+        j[3, 0] += 2e-10j
+        f = ChoiMap((2,), (2,), j, validate=False)
+        check_morphism(f, mk_first_order(2), mk_first_order(2))
+        with pytest.raises(MorphismError):
+            check_morphism(f, mk_first_order(2), mk_first_order(2), tol=1e-10)
+        j[0, 3] += 1e-3j
+        j[3, 0] += 1e-3j
+        g = ChoiMap((2,), (2,), j, validate=False)
+        check_morphism(g, mk_first_order(2), mk_first_order(2), tol=1e-2)
+
     def test_dimension_mismatch(self, chan):
         f = structural("identity", 2)
         with pytest.raises(ShapeMismatchError):

@@ -191,6 +191,29 @@ def test_every_defaulted_option_has_a_caller():
     assert not unset, f"{len(unset)} options no code sets: {', '.join(unset)}"
 
 
+def test_every_import_is_used():
+    # a name imported and never referenced is dead weight; __all__ counts as use
+    root = Path(__file__).resolve().parents[1]
+    unused = []
+    for path in sorted([*(root / "src" / "caustyk").glob("*.py"),
+                        *(root / "tests").glob("*.py")]):
+        tree = ast.parse(path.read_text())
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "__all__" for t in node.targets):
+                used |= {e.value for e in node.value.elts}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.parent.name}/{path.name}:{name}")
+    assert not unused, f"imported but never used: {', '.join(unused)}"
+
+
 class TestChoiForms:
     def test_kraus_oracle_upper_units(self):
         # rho -> |0><0| rho |0><0| + |0><1| rho |1><0| maps everything onto |0><0|
@@ -374,6 +397,18 @@ class TestStinespring:
         np.testing.assert_allclose(v.v, q, atol=1e-8)
         resid = np.kron(np.eye(2), v.v) @ p1.v - p2.v
         assert np.max(np.abs(resid)) < 1e-9
+
+    def test_dilation_isometry_rejects_shrunk_intertwiner(self):
+        # the intertwiner comes out 6e-8 short of an isometry: past the
+        # TOLS.psd gate, so no isometry relates the two dilations
+        p1, env = stinespring(amplitude_damping(0.25))
+        rng = np.random.default_rng(13)
+        q, _ = np.linalg.qr(rng.standard_normal((env, env))
+                            + 1j * rng.standard_normal((env, env)))
+        p2 = Isometry(np.kron(np.eye(2), (1 - 3e-8) * q) @ p1.v, 2, (2, env),
+                      allow_contraction=True)
+        with pytest.raises(NoIsometryError, match="not an isometry"):
+            dilation_isometry(p1, p2)
 
     def test_dilation_isometry_rejects_different_channels(self):
         p1, _ = stinespring(amplitude_damping(0.2))

@@ -6,14 +6,13 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from caustyk.causobj import (CausMorphism, check_morphism, cup_state, hom_obj,
-                             member, mk_all_states, mk_first_order, mk_unit,
-                             objects_equal, par_obj, seq_obj, tensor_obj)
-from caustyk.cpmaps import (ChoiMap, partial_trace, permute_factors, regroup,
-                            transpose_channel)
+from caustyk.causobj import (CausMorphism, cup_state, hom_obj, mk_all_states,
+                             mk_first_order, mk_unit, objects_equal, par_obj,
+                             seq_obj, tensor_obj)
+from caustyk.cpmaps import ChoiMap, partial_trace, regroup
 from caustyk.errors import MorphismError, NotOneWayError, ShapeMismatchError
 from caustyk.embedding import (AGREE_TOL, BlackBoxTransform, F_eval, F_mor,
-                               FImage, compose_morphisms, faithfulness_probe,
+                               compose_morphisms, faithfulness_probe,
                                fullness_reconstruct, identity_morphism,
                                inverse_seq, law_suite, lax_seq, lax_tensor,
                                profunctor_action, strength,
@@ -24,7 +23,7 @@ from caustyk.sampling import (identity_comb_name, pad_pair,
                               random_comb_relaxation, random_cptp,
                               random_decomp_pair, random_density,
                               random_state_morphism, random_unitary, rng_from,
-                              rotate_pair, sample_member)
+                              rotate_pair)
 from caustyk.signalling import DecompPair, coend_equiv, comb_decompose, party_choi
 
 # direction rank of the channel family probed between qubit boundaries,

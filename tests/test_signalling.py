@@ -12,10 +12,9 @@ from caustyk.sampling import (identity_comb_name, pad_pair, random_cptp,
                               random_decomp_pair, random_density,
                               random_oneway_channel, random_twoway_channel,
                               rng_from, rotate_pair, sample_member)
-from caustyk.signalling import (DecompPair, SignalVerdict, coend_equiv,
-                                comb_decompose, equiv_certificate,
-                                nonsignalling_test, party_choi, party_name,
-                                recompose)
+from caustyk.signalling import (SignalVerdict, coend_equiv, comb_decompose,
+                                equiv_certificate, nonsignalling_test,
+                                party_choi, party_name, recompose)
 
 
 @pytest.fixture
