@@ -16,12 +16,19 @@ orthonormal rows), whichever its construction produced. The dual of a span
 form is a constraint form and vice versa, so iterated duals never materialize
 a near-full-rank basis; conversion between the two forms of the *same*
 subspace is the only expensive path and is done lazily.
+
+Both conversions, and the dual of a constraint form, take the orthogonal
+complement of ``k`` orthonormal rows in ``m`` coordinates. Three cases are
+closed form: no rows (the identity), all ``m`` rows (empty), and one row, such
+as a first-order type's trace row or the value vector the dual completes (a
+Householder reflector). Only ``1 < k < m`` goes to ``scipy.linalg.null_space``;
+scipy is imported on that first call, so code that never needs one never
+loads it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     EmptyDualError,
@@ -128,6 +135,31 @@ def _orthonormalize(rows: np.ndarray, m: int) -> np.ndarray:
     return vt[s > cut]
 
 
+def _complement(rows: np.ndarray, m: int) -> np.ndarray:
+    """Orthonormal rows spanning the complement of the orthonormal ``rows``.
+
+    The input rows are orthonormal, so the complement has exactly
+    ``m - k`` rows and no rank is decided here. One row is completed by a
+    Householder reflector built in one ``m x m`` array; only a general
+    ``1 < k < m`` goes to ``scipy.linalg.null_space``.
+    """
+    k = rows.shape[0]
+    if k == 0:
+        return np.eye(m)
+    if k == m:
+        return np.zeros((0, m))
+    if k == 1:
+        # v = q + sign(q0) e0 sends e0 to -sign(q0) q, so rows 1.. are
+        # orthonormal and orthogonal to q; the shift never cancels
+        v = rows[0].copy()
+        v[0] += 1.0 if v[0] >= 0 else -1.0
+        h = np.outer(v * (-2.0 / (v @ v)), v)
+        h.reshape(-1)[::m + 1] += 1.0
+        return h[1:]
+    import scipy.linalg     # only here: loading it costs most of a cold start
+    return scipy.linalg.null_space(rows).T
+
+
 # ---------------------------------------------------------------------------
 # affine subspaces
 # ---------------------------------------------------------------------------
@@ -228,20 +260,15 @@ class AffineSubspace:
     def dirs_coords(self) -> np.ndarray:
         """Orthonormal direction rows; materializes the span form if needed."""
         if self._dirs is None:
-            self._dirs = scipy.linalg.null_space(self._cons).T \
-                if self._cons.shape[0] else np.eye(self._m)
+            self._dirs = _complement(self._cons, self._m)
             self._base = self.base_vec()
         return self._dirs
 
     def cons_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Orthonormal constraint rows and values; may materialize a complement."""
         if self._cons is None:
-            if self._dirs.shape[0]:
-                rows = scipy.linalg.null_space(self._dirs).T
-            else:
-                rows = np.eye(self._m)
-            self._cons = rows
-            self._vals = rows @ self._base
+            self._cons = _complement(self._dirs, self._m)
+            self._vals = self._cons @ self._base
         return self._cons, self._vals
 
     def affine_points(self) -> np.ndarray:
@@ -306,10 +333,7 @@ class AffineSubspace:
         nc = float(np.linalg.norm(c))
         if nc <= TOLS.sub * 10:
             raise EmptyDualError("subspace passes through the origin; dual is empty")
-        if A.shape[0] == 1:
-            u_dirs = np.zeros((0, 1))
-        else:
-            u_dirs = scipy.linalg.null_space(c[None, :] / nc).T
+        u_dirs = _complement(c[None, :] / nc, c.shape[0])
         base = A.T @ (c / nc ** 2)
         dirs = u_dirs @ A
         return AffineSubspace(self.matrix_dim, base=base, dirs=dirs)

@@ -17,8 +17,8 @@ from .causobj import (CausObject, hom_obj, member, mk_first_order, par_obj,
                       state_of_choi, tensor_obj)
 from .cpmaps import (ChoiMap, Isometry, choi_of_kraus, dilation_isometry,
                      regroup, stinespring, structural)
-from .errors import (InconsistencyError, NoIsometryError, NotOneWayError,
-                     ShapeMismatchError)
+from .errors import (HermiticityError, InconsistencyError, NoIsometryError,
+                     NotOneWayError, ShapeMismatchError)
 from .hermspace import check_hermitian, min_eig
 from .tolerances import TOLS
 
@@ -346,6 +346,6 @@ def equiv_certificate(p1: DecompPair, p2: DecompPair,
                                       f"by {end_gap:.3e}")
         return Certificate(ok=True, steps=steps)
     except (NotOneWayError, NoIsometryError, InconsistencyError,
-            ShapeMismatchError) as exc:
+            ShapeMismatchError, HermiticityError) as exc:
         return Certificate(ok=False, steps=[],
                            reason=f"certificate unavailable: {exc}")

@@ -1,5 +1,6 @@
 """Command-line verbs, exit codes, and matrix file formats."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -19,7 +20,7 @@ from caustyk.io import (choi_from_json, complex_to_json, json_to_complex,
                         save_choi, save_matrix, save_pair)
 from caustyk.sampling import (random_cptp, random_decomp_pair, rng_from,
                               rotate_pair)
-from caustyk.signalling import recompose
+from caustyk.signalling import party_name, recompose
 
 
 @pytest.fixture
@@ -388,6 +389,22 @@ class TestEquiv:
             ch = choi_from_json(step["channel"])
             assert ch.d_in >= 1
 
+    def test_non_hermitian_tooth_certificate(self, capsys, tmp_path, rng):
+        p1 = random_decomp_pair(rng, 2, 2)
+        j = p1.rho.J.copy()
+        j[0, 1] += 0.3
+        p1 = dataclasses.replace(p1, rho=ChoiMap(p1.rho.out_dims, p1.rho.in_dims,
+                                                 j, validate=False))
+        p2 = rotate_pair(p1, rng)
+        f1, f2 = tmp_path / "p1.json", tmp_path / "p2.json"
+        save_pair(str(f1), p1)
+        save_pair(str(f2), p2)
+        code, doc = run(capsys, "equiv", str(f1), str(f2), "--certificate")
+        assert code == 0 and doc["verdict"] is True
+        cert = doc["certificate"]
+        assert cert["ok"] is False and cert["steps"] == []
+        assert "Hermiticity" in cert["reason"]
+
     def test_unrelated_pairs(self, capsys, tmp_path, rng):
         p1 = random_decomp_pair(rng, 2, 2)
         p2 = random_decomp_pair(rng, 2, 2)
@@ -543,6 +560,26 @@ class TestUsage:
             assert (proc.returncode == 0) == ok, proc.stderr
             if not ok:
                 assert "ValueError: CAUSTYK_TOL must be" in proc.stderr
+
+    def test_cold_verbs_leave_scipy_unloaded(self, tmp_path, rng):
+        # one-row and full-rank complements are closed form, so these
+        # verbs never import scipy (most of a cold start's import time)
+        cm = recompose(random_decomp_pair(rng, 2, 2))
+        state, chan = tmp_path / "state.json", tmp_path / "chan.json"
+        save_matrix(str(state), party_name(cm, 1, 1))
+        save_choi(str(chan), cm)
+        seq = f"{HOMS}<{HOMS}"
+        verbs = [["typeinfo", seq], ["member", seq, str(state)],
+                 ["decompose", seq, str(chan)]]
+        script = ("import sys\nfrom caustyk.cli import main\n"
+                  f"codes = [main(argv) for argv in {verbs!r}]\n"
+                  "print(codes, 'scipy' in sys.modules, file=sys.stderr)\n")
+        src = str(Path(caustyk.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == "[0, 0, 0] False"
 
     def test_no_arguments(self, capsys):
         assert main([]) == 2

@@ -7,6 +7,7 @@ vectorized path never gets to define its own correctness.
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,7 @@ from caustyk.errors import (
 )
 from caustyk.hermspace import (
     AffineSubspace,
+    _complement,
     check_dimension,
     check_hermitian,
     coords_to_herm,
@@ -328,3 +330,27 @@ def test_coords_isometry_property(n, seed):
     assert abs(np.linalg.norm(v) - np.linalg.norm(m, 'fro')) < 1e-10 * max(
         1.0, np.linalg.norm(m, 'fro'))
     np.testing.assert_allclose(coords_to_herm(v, n), m, atol=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 4, 9, 16]),
+       st.sampled_from(["0", "1+", "1-", "1 zero", "-e0", "2", "m-1", "m"]),
+       st.integers(min_value=0, max_value=2 ** 31 - 1))
+def test_complement_property(m, case, seed):
+    rng = np.random.default_rng(seed)
+    k = {"0": 0, "2": 2, "m-1": m - 1, "m": m}.get(case, 1)
+    rows = np.linalg.qr(rng.standard_normal((m, m)))[0].T[:k]
+    # the Householder shift takes the sign of the first entry; at -e0 the
+    # opposite sign would cancel it to zero
+    if case == "-e0":
+        rows = -np.eye(m)[:1]
+    elif case.startswith("1"):
+        q = rows[0]
+        q[0] = {"1+": abs(q[0]), "1-": -abs(q[0]), "1 zero": 0.0}[case]
+        rows = rows / np.linalg.norm(q)
+    out = _complement(rows, m)
+    assert out.shape == (m - k, m)
+    np.testing.assert_allclose(out @ out.T, np.eye(m - k), atol=1e-12)
+    np.testing.assert_allclose(out @ rows.T, np.zeros((m - k, k)), atol=1e-12)
+    ref = scipy.linalg.null_space(rows)
+    np.testing.assert_allclose(out.T @ out, ref @ ref.T, atol=1e-12)

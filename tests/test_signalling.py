@@ -1,5 +1,7 @@
 """Signalling verdicts, comb decomposition, and equivalence certificates."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -312,6 +314,19 @@ class TestCertificates:
         cert = equiv_certificate(p1, p2)
         assert not cert.ok and cert.steps == []
         assert "different channels" in cert.reason
+
+    def test_non_hermitian_tooth_is_unavailable(self, rng):
+        bad = random_decomp_pair(rng)
+        j = bad.rho.J.copy()
+        j[0, 1] += 0.3
+        bad = dataclasses.replace(bad, rho=ChoiMap(bad.rho.out_dims, bad.rho.in_dims,
+                                                   j, validate=False))
+        other = rotate_pair(bad, rng)
+        assert coend_equiv(bad, other)
+        cert = equiv_certificate(bad, other)
+        assert not cert.ok and cert.steps == []
+        assert cert.reason.startswith("certificate unavailable")
+        assert "Hermiticity" in cert.reason
 
 
 class TestSamplingFixtures:
