@@ -23,16 +23,13 @@ from .dsl import Hom, Par, Seq, Tensor, TypeExpr, elaborate, parse_type, print_t
 from .embedding import (BlackBoxTransform, F_eval, F_mor, _transpose_box,
                         fullness_reconstruct, law_suite, transform_of_morphism)
 from .errors import (CaustykError, ElaborationError, HermiticityError,
-                     InconsistencyError, InvalidDimensionError, MorphismError,
-                     NotOneWayError, ShapeMismatchError, TypeSyntaxError)
+                     InconsistencyError, MorphismError, NotOneWayError,
+                     ShapeMismatchError)
 from .io import (choi_from_json, choi_to_json, complex_to_json, load_choi,
                  load_matrix, load_pair, pair_to_json)
 from .sampling import rng_from
 from .signalling import (coend_equiv, comb_decompose,
                          equiv_certificate, nonsignalling_test)
-
-_USAGE_ERRORS = (TypeSyntaxError, ElaborationError, InvalidDimensionError,
-                 ShapeMismatchError, HermiticityError)
 
 
 def _emit(doc: dict) -> None:
@@ -379,9 +376,6 @@ def main(argv=None) -> int:
         # reader went away mid-print; silence the shutdown flush as well
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except _USAGE_ERRORS as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except (OSError, json.JSONDecodeError, KeyError) as err:
         print(f"error: cannot read input ({err})", file=sys.stderr)
         return 2

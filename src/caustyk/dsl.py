@@ -90,48 +90,46 @@ class _Token:
     kind: str         # "name" | "int" | symbol itself | "end"
     text: str
     position: int     # codepoint index
-    byte_offset: int
+
+
+def _syntax_error(message: str, text: str, pos: int,
+                  expected: tuple[str, ...]) -> TypeSyntaxError:
+    return TypeSyntaxError(message, pos, len(text[:pos].encode("utf-8")),
+                           expected=expected)
 
 
 def _tokenize(text: str) -> list[_Token]:
     toks = []
     pos = 0
-    byte = 0
     n = len(text)
     while pos < n:
         ch = text[pos]
-        width = len(ch.encode("utf-8"))
         if ch.isspace():
             pos += 1
-            byte += width
             continue
         if ch in _ALIASES:
-            toks.append(_Token(_ALIASES[ch], ch, pos, byte))
+            toks.append(_Token(_ALIASES[ch], ch, pos))
             pos += 1
-            byte += width
             continue
         if ch in _SYMBOLS:
-            toks.append(_Token(ch, ch, pos, byte))
+            toks.append(_Token(ch, ch, pos))
             pos += 1
-            byte += width
             continue
         if ch in _DIGITS:
-            start, bstart = pos, byte
+            start = pos
             while pos < n and text[pos] in _DIGITS:
                 pos += 1
-                byte += 1
-            toks.append(_Token("int", text[start:pos], start, bstart))
+            toks.append(_Token("int", text[start:pos], start))
             continue
         if ch.isalpha():
-            start, bstart = pos, byte
+            start = pos
             while pos < n and text[pos].isalpha():
-                byte += len(text[pos].encode("utf-8"))
                 pos += 1
-            toks.append(_Token("name", text[start:pos], start, bstart))
+            toks.append(_Token("name", text[start:pos], start))
             continue
-        raise TypeSyntaxError(f"unexpected character {ch!r}", pos, byte,
-                              expected=("FO", "ANY", "CLA", "I", "(", "["))
-    toks.append(_Token("end", "", n, len(text.encode("utf-8"))))
+        raise _syntax_error(f"unexpected character {ch!r}", text, pos,
+                            expected=("FO", "ANY", "CLA", "I", "(", "["))
+    toks.append(_Token("end", "", n))
     return toks
 
 
@@ -156,18 +154,17 @@ class _Parser:
     def expect(self, kind: str, expected: tuple[str, ...]) -> _Token:
         t = self.peek()
         if t.kind != kind:
-            raise TypeSyntaxError(
+            raise _syntax_error(
                 f"unexpected {t.text!r}" if t.kind != "end" else "unexpected end of input",
-                t.position, t.byte_offset, expected=expected)
+                self.text, t.position, expected=expected)
         return self.advance()
 
     def parse(self) -> TypeExpr:
         e = self.par()
         t = self.peek()
         if t.kind != "end":
-            raise TypeSyntaxError(f"trailing input {t.text!r}", t.position,
-                                  t.byte_offset,
-                                  expected=("*", "<", "@", "^", "end of input"))
+            raise _syntax_error(f"trailing input {t.text!r}", self.text, t.position,
+                                expected=("*", "<", "@", "^", "end of input"))
         return e
 
     def par(self) -> TypeExpr:
@@ -226,13 +223,11 @@ class _Parser:
                         f"{t.text}({d}) denotes no object; dimensions start at 1 "
                         f"(position {num.position})")
                 return Atom(t.text, d)
-            raise TypeSyntaxError(f"unknown atom {t.text!r}", t.position,
-                                  t.byte_offset,
-                                  expected=("FO", "ANY", "CLA", "I"))
-        raise TypeSyntaxError(
+            raise _syntax_error(f"unknown atom {t.text!r}", self.text, t.position,
+                                expected=("FO", "ANY", "CLA", "I"))
+        raise _syntax_error(
             f"unexpected {t.text!r}" if t.kind != "end" else "unexpected end of input",
-            t.position, t.byte_offset,
-            expected=("FO", "ANY", "CLA", "I", "(", "["))
+            self.text, t.position, expected=("FO", "ANY", "CLA", "I", "(", "["))
 
 
 def parse_type(text: str) -> TypeExpr:

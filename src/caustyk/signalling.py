@@ -15,8 +15,9 @@ import numpy as np
 
 from .causobj import (CausObject, hom_obj, member, mk_first_order, par_obj,
                       state_of_choi, tensor_obj)
-from .cpmaps import (ChoiMap, Isometry, choi_of_kraus, dilation_isometry,
-                     regroup, stinespring, structural)
+from .cpmaps import (ChoiMap, Isometry, act_on_factors, choi_of_kraus,
+                     dilation_isometry, regroup, stinespring, structural,
+                     transpose_channel)
 from .errors import (HermiticityError, InconsistencyError, NoIsometryError,
                      NotOneWayError, ShapeMismatchError)
 from .hermspace import check_hermitian, min_eig
@@ -44,21 +45,20 @@ def party_choi(mat: np.ndarray, out_dims, in_dims, n_out_a: int, n_in_a: int) ->
     return ChoiMap(o, i, regroup(mat, blocks, [1, 3, 0, 2]), validate=False)
 
 
-def _depends_on_block(marg: ChoiMap, split: int, probe_right: bool,
-                      tol: float) -> bool:
-    """Does the marginal output depend on one input block for any joint input?
+def _steering(marg: ChoiMap, split: int, probe_right: bool) -> tuple[float, np.ndarray]:
+    """How far the marginal output moves with one input block.
 
     Independence of a block means the Choi matrix carries a bare identity
     on it: J = K (x) I_block up to factor placement. The distance to that
     subspace is measured by twirling the block (an orthogonal projection),
     so structured channels where averaging the other block hides the
-    influence (one-time-pad style) are still caught.
+    influence (one-time-pad style) are still caught. Returns that distance
+    relative to ``max(1, |J|)`` and ``K``: the Choi matrix of the marginal
+    fed the maximally mixed state on the block.
     """
     d_left = math.prod(marg.in_dims[:split])
     d_right = marg.d_in // d_left
     d_probe = d_right if probe_right else d_left
-    if d_probe == 1:
-        return False
     d_o = marg.d_out
     t = marg.J.reshape(d_o, d_left, d_right, d_o, d_left, d_right)
     eye = np.eye(d_probe)
@@ -69,8 +69,8 @@ def _depends_on_block(marg: ChoiMap, split: int, probe_right: bool,
         avg = np.einsum('olrqlt->orqt', t) / d_probe
         proj = np.einsum('orqt,ls->olrqst', avg, eye)
     scale = max(1.0, float(np.linalg.norm(marg.J)))
-    resid = float(np.linalg.norm(t - proj))
-    return resid > tol * scale
+    d_k = d_o * marg.d_in // d_probe
+    return float(np.linalg.norm(t - proj)) / scale, avg.reshape(d_k, d_k)
 
 
 def nonsignalling_test(cm: ChoiMap, n_out_a: int, n_in_a: int,
@@ -84,9 +84,9 @@ def nonsignalling_test(cm: ChoiMap, n_out_a: int, n_in_a: int,
     if not (0 <= n_out_a <= len(cm.out_dims)) or not (0 <= n_in_a <= len(cm.in_dims)):
         raise ShapeMismatchError("party cut exceeds the factor lists")
     marg_a = cm.marginal(list(range(n_out_a)))
-    b_to_a = _depends_on_block(marg_a, n_in_a, probe_right=True, tol=tol)
+    b_to_a = _steering(marg_a, n_in_a, probe_right=True)[0] > tol
     marg_b = cm.marginal(list(range(n_out_a, len(cm.out_dims))))
-    a_to_b = _depends_on_block(marg_b, n_in_a, probe_right=False, tol=tol)
+    a_to_b = _steering(marg_b, n_in_a, probe_right=False)[0] > tol
     if a_to_b and b_to_a:
         return SignalVerdict.TWO_WAY
     if a_to_b:
@@ -125,10 +125,9 @@ def med_precompose(sigma: ChoiMap, ch: ChoiMap) -> ChoiMap:
         raise ShapeMismatchError(
             f"channel output {ch.out_dims} does not match mediator "
             f"{sigma.in_dims[0]}")
-    big = ch
-    for d in sigma.in_dims[1:]:
-        big = big.tensor(structural("identity", d), validate=False)
-    return sigma.compose(big, validate=False)
+    J = act_on_factors(sigma.J, sigma.factor_dims, len(sigma.out_dims), 1,
+                       transpose_channel(ch))
+    return ChoiMap(sigma.out_dims, ch.in_dims + sigma.in_dims[1:], J, validate=False)
 
 
 def recompose(pair: DecompPair) -> ChoiMap:
@@ -168,19 +167,13 @@ def comb_decompose(tau: ChoiMap, n_out_a: int, n_in_a: int,
     d_bi = tau.d_in // d_ai
 
     marg = tau.marginal(list(range(n_out_a)))        # (A_in, B_in) -> A_out
-    feed = structural("identity", d_ai).tensor(structural("mix", d_bi),
-                                               validate=False)
-    early = ChoiMap(a_out, a_in, marg.compose(feed, validate=False).J,
-                    validate=False)                  # A_in -> A_out
-    ext = early.tensor(structural("discard", d_bi), validate=False)
-    scale = max(1.0, float(np.linalg.norm(marg.J)))
-    steer = float(np.linalg.norm(marg.J - ext.J)) / scale
+    steer, j_early = _steering(marg, n_in_a, probe_right=True)
     if steer > tol:
         raise NotOneWayError(
             f"early marginal moves with the late input (residual {steer:.3e})",
             residual=steer)
 
-    iso, env = stinespring(early)
+    iso, env = stinespring(ChoiMap(a_out, a_in, j_early, validate=False))
     rho = ChoiMap(a_out + (env,), a_in, iso.as_choi().J, validate=False)
     # dilation frame for the full channel: V (x) identity on the late input
     v4 = iso.v.reshape(d_ao, env, d_ai)
@@ -197,10 +190,10 @@ def comb_decompose(tau: ChoiMap, n_out_a: int, n_in_a: int,
     cut = max(float(vals[-1]), 1.0) * 1e-12
     inv_vals = np.where(vals > cut, 1.0 / np.maximum(vals, cut), 0.0)
     r_inv = (vecs * inv_vals) @ vecs.conj().T
-    t_twist = ChoiMap((d_w,), (d_e,), c, validate=False).transfer()
-    t_sigma = t_twist @ np.kron(r_inv, r_inv.conj())
-    sigma = ChoiMap.from_transfer(t_sigma, b_out, (env,) + b_in, validate=False)
-    sigma.J = check_hermitian(sigma.J, tol=1e-6)
+    # pre-compose X -> r_inv X r_inv^dagger on the input block, in Choi form
+    lift = np.kron(np.eye(d_w), r_inv.T)
+    sigma = ChoiMap(b_out, (env,) + b_in,
+                    check_hermitian(lift @ c @ lift.conj().T, tol=1e-6), validate=False)
     me = min_eig(sigma.J)
     if me < -max(TOLS.psd, tol) * max(1.0, float(np.linalg.norm(sigma.J))):
         raise InconsistencyError(

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
-
-_BASE = 1e-9
+from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
@@ -45,6 +43,9 @@ class Tolerances:
         return self.sub * max(sigma_max, 1.0)
 
 
+_BASE = Tolerances.sub
+
+
 def _from_env() -> Tolerances:
     raw = os.environ.get("CAUSTYK_TOL")
     if raw is None:
@@ -56,14 +57,8 @@ def _from_env() -> Tolerances:
     if not (math.isfinite(base) and base > 0):
         raise ValueError(f"CAUSTYK_TOL must be a positive finite number, got {raw!r}")
     s = base / _BASE
-    return Tolerances(
-        herm=1e-10 * s,
-        psd=1e-9 * s,
-        sub=base,
-        decomp=1e-6 * s,
-        roundtrip=1e-8 * s,
-        slide=1e-7 * s,
-    )
+    scaled = {f.name: f.default * s for f in fields(Tolerances)}
+    return Tolerances(**{**scaled, "sub": base})
 
 
 TOLS = _from_env()

@@ -561,6 +561,21 @@ class TestUsage:
             if not ok:
                 assert "ValueError: CAUSTYK_TOL must be" in proc.stderr
 
+    def test_tolerance_env_scales_every_field(self):
+        src = str(Path(caustyk.__file__).resolve().parent.parent)
+        env = dict(os.environ, CAUSTYK_TOL="1e-8", PYTHONPATH=src)
+        script = ("import dataclasses, json\n"
+                  "from caustyk.tolerances import TOLS, Tolerances\n"
+                  "print(json.dumps({f.name: [getattr(TOLS, f.name), f.default]\n"
+                  "                  for f in dataclasses.fields(Tolerances)}))\n")
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        pack = json.loads(proc.stdout)
+        assert len(pack) == 6 and pack["sub"][0] == 1e-8
+        for name, (value, default) in pack.items():
+            assert value == pytest.approx(10 * default, rel=1e-12), name
+
     def test_cold_verbs_leave_scipy_unloaded(self, tmp_path, rng):
         # one-row and full-rank complements are closed form, so these
         # verbs never import scipy (most of a cold start's import time)

@@ -239,11 +239,6 @@ class TestChoiForms:
         np.testing.assert_allclose(cm.J, np.diag([1.0, 0, 0, 1.0]), atol=1e-14)
         assert np.linalg.matrix_rank(cm.J) == 2
 
-    def test_transfer_round_trip(self):
-        cm = amplitude_damping(0.3)
-        again = ChoiMap.from_transfer(cm.transfer(), (2,), (2,))
-        np.testing.assert_allclose(again.J, cm.J, atol=1e-13)
-
     def test_apply_matches_kraus(self):
         rng = np.random.default_rng(5)
         k = [rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
@@ -463,8 +458,7 @@ class TestShadow:
         p = np.diag([1.0, 1.0, 0.0])
         omega = np.diag([0.25, 0.75, 0.0])
         pi = conditional_expectation(p, omega)
-        t = pi.transfer()
-        assert np.max(np.abs(t @ t - t)) < 1e-12
+        assert np.max(np.abs(pi.compose(pi).J - pi.J)) < 1e-12
         assert pi.is_trace_preserving()
         x = np.diag([0.0, 0.0, 1.0])
         np.testing.assert_allclose(pi.apply(x), omega, atol=1e-12)

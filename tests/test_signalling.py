@@ -15,8 +15,9 @@ from caustyk.sampling import (identity_comb_name, pad_pair, random_cptp,
                               random_oneway_channel, random_twoway_channel,
                               rng_from, rotate_pair, sample_member)
 from caustyk.signalling import (SignalVerdict, coend_equiv, comb_decompose,
-                                equiv_certificate, nonsignalling_test,
-                                party_choi, party_name, recompose)
+                                equiv_certificate, med_precompose,
+                                nonsignalling_test, party_choi, party_name,
+                                recompose)
 
 
 @pytest.fixture
@@ -245,6 +246,20 @@ class TestCoendEquiv:
         tau = recompose(pair)
         assert np.linalg.norm(recompose(pad_pair(pair, rng)).J - tau.J) < 1e-12
         assert np.linalg.norm(recompose(rotate_pair(pair, rng)).J - tau.J) < 1e-12
+
+    def test_med_precompose_widens_mediator(self, rng):
+        z = 2
+        sigma = ChoiMap((2,), (z, 2, 3), random_cptp(rng, z * 6, 2).J)
+        ch = random_cptp(rng, z + 2, z)
+        got = med_precompose(sigma, ch)
+        assert (got.out_dims, got.in_dims) == ((2,), (z + 2, 2, 3))
+        # reference: the channel padded with identity wires, then sigma
+        pad = ch.tensor(structural("identity", 2)).tensor(structural("identity", 3))
+        for _ in range(4):
+            x, y, w = (random_density(rng, d) for d in (z + 2, 2, 3))
+            rho = np.kron(np.kron(x, y), w)
+            np.testing.assert_allclose(got.apply(rho), sigma.apply(pad.apply(rho)),
+                                       atol=1e-12)
 
     def test_different_channels(self, rng):
         p1 = random_decomp_pair(rng)
