@@ -288,9 +288,11 @@ def check_morphism(f: ChoiMap, a: CausObject, b: CausObject,
         raise MorphismError(
             f"map is not completely positive (min Choi eigenvalue {me:.3e})",
             reason="cp", residual=-me)
-    mats = coords_to_herm(a.states.affine_points(), a.dim)
-    j4 = f.J.reshape(f.d_out, f.d_in, f.d_out, f.d_in)
-    outs = np.einsum('tsuv,ksv->ktu', j4, mats)
+    di, do = f.d_in, f.d_out
+    mats = coords_to_herm(a.states.affine_points(), di)
+    # Phi(rho)[t, u] = sum_{s, v} J[(t, s), (u, v)] rho[s, v]: one GEMM for all points
+    push = f.J.reshape(do, di, do, di).transpose(1, 3, 0, 2).reshape(di * di, do * do)
+    outs = (mats.reshape(-1, di * di) @ push).reshape(-1, do, do)
     coords = herm_to_coords(outs)
     dists = b.states.distances(coords)
     scales = np.maximum(1.0, np.linalg.norm(coords, axis=1))
@@ -310,16 +312,29 @@ def cup_state(d: int) -> np.ndarray:
 
 # -- large-composite membership ----------------------------------------------
 
+def _herm_coords(t: np.ndarray) -> np.ndarray:
+    """``Tr(B_k H)`` for each matrix ``H`` on the last two axes; see :func:`matricize`."""
+    n = t.shape[-1]
+    iu, ju = np.triu_indices(n, k=1)
+    upper, lower = t[..., iu, ju], t[..., ju, iu]
+    r2 = math.sqrt(2.0)
+    return np.concatenate([np.diagonal(t, axis1=-2, axis2=-1), (upper + lower) / r2,
+                           1j * (upper - lower) / r2], axis=-1)
+
+
 def matricize(x: np.ndarray, d_left: int, d_right: int) -> np.ndarray:
     """Coordinate block matrix C[i, j] = <B_i (x) B_j, x> of a bipartite state.
 
-    Stays at block-sized ambient dimensions, so membership tests on big
-    composites never touch the full product coordinate space.
+    ``x`` is reordered to ``X[(a, b), (u, v)] = x[(a, u), (b, v)]`` and each
+    side is mapped to the coordinates ``Tr(B_k H)`` by a fixed index map, in
+    :mod:`hermspace` basis order: ``H[a, a]``, then ``(H[a, b] + H[b, a]) /
+    sqrt(2)`` and ``1j (H[a, b] - H[b, a]) / sqrt(2)`` for ``a < b``. Stays at
+    block-sized ambient dimensions, so membership tests on big composites
+    never touch the full product coordinate space.
     """
-    basis_l = coords_to_herm(np.eye(d_left * d_left), d_left)
     x4 = x.reshape(d_left, d_right, d_left, d_right)
-    red = np.einsum('kab,buav->kuv', basis_l, x4)
-    return herm_to_coords(red)
+    left = _herm_coords(x4.transpose(1, 3, 0, 2))       # (u, v, i)
+    return _herm_coords(left.transpose(2, 0, 1)).real   # (i, j)
 
 
 def par_member(x: np.ndarray, a: CausObject, b: CausObject,

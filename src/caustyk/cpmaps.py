@@ -160,9 +160,11 @@ class ChoiMap:
 
     def tensor(self, other: "ChoiMap", *, validate: bool = True) -> "ChoiMap":
         """Parallel composition; output and input factor lists concatenate."""
-        J = np.kron(self.J, other.J)
-        block_dims = (self.d_out, self.d_in, other.d_out, other.d_in)
-        J = permute_factors(J, block_dims, [0, 2, 1, 3])
+        (o1, i1), (o2, i2) = (self.d_out, self.d_in), (other.d_out, other.d_in)
+        # the products of kron(J1, J2), written in (out1, out2, in1, in2) order in one pass
+        d = o1 * i1 * o2 * i2
+        J = (self.J.reshape(o1, 1, i1, 1, o1, 1, i1, 1)
+             * other.J.reshape(1, o2, 1, i2, 1, o2, 1, i2)).reshape(d, d)
         return ChoiMap(self.out_dims + other.out_dims, self.in_dims + other.in_dims,
                        J, validate=validate)
 

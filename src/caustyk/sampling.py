@@ -125,9 +125,10 @@ def random_oneway_channel(rng, d: int = 2, z: int = 2) -> ChoiMap:
 def random_twoway_channel(rng, d: int = 2) -> ChoiMap:
     """Swap-based channel: each party's input reaches the other's output."""
     u1, u2, u3, u4 = (random_unitary(rng, d) for _ in range(4))
-    pre = choi_of_kraus([u1], d, d).tensor(choi_of_kraus([u2], d, d))
-    post = choi_of_kraus([u3], d, d).tensor(choi_of_kraus([u4], d, d))
-    sw = post.compose(structural("swap", d, d)).compose(pre)
+    # unitary parts are CPTP by construction: only the final mix is validated
+    pre = choi_of_kraus([u1], d, d).tensor(choi_of_kraus([u2], d, d), validate=False)
+    post = choi_of_kraus([u3], d, d).tensor(choi_of_kraus([u4], d, d), validate=False)
+    sw = post.compose(structural("swap", d, d), validate=False).compose(pre, validate=False)
     mixed = rng.uniform(0.4, 1.0)
     other = random_oneway_channel(rng, d)
     j = mixed * sw.J + (1.0 - mixed) * other.J

@@ -175,25 +175,24 @@ def comb_decompose(tau: ChoiMap, n_out_a: int, n_in_a: int,
 
     iso, env = stinespring(ChoiMap(a_out, a_in, j_early, validate=False))
     rho = ChoiMap(a_out + (env,), a_in, iso.as_choi().J, validate=False)
-    # dilation frame for the full channel: V (x) identity on the late input
-    v4 = iso.v.reshape(d_ao, env, d_ai)
-    vt = np.einsum('aei,bc->aebic', v4, np.eye(d_bi))
-    d_e = env * d_bi
-    d_x = d_ai * d_bi
-    v3 = vt.reshape(d_ao, d_e, d_x)
-    j8 = tau.J.reshape(d_ao, d_w, d_x, d_ao, d_w, d_x)
-    c6 = np.einsum('afx,awxcgy,chy->wfgh', v3.conj(), j8, v3)
-    c = c6.reshape(d_w * d_e, d_w * d_e)
-    g = np.einsum('afx,agx->fg', v3.conj(), v3)       # transposed env marginal
-    rho_env = g.T
-    vals, vecs = np.linalg.eigh(rho_env)
+    # The second tooth conjugates tau by the frame V (x) I on the late input,
+    # then pre-composes X -> r_inv X r_inv^dagger on the env input, r_inv the
+    # inverse env marginal. Both fold into n = r_inv m, m[e, (a, i)] = V[(a, e), i],
+    # contracted with the row and the column index of tau by one GEMM each.
+    m = iso.v.reshape(d_ao, env, d_ai).transpose(1, 0, 2).reshape(env, d_ao * d_ai)
+    vals, vecs = np.linalg.eigh(m @ m.conj().T)      # env marginal
     cut = max(float(vals[-1]), 1.0) * 1e-12
     inv_vals = np.where(vals > cut, 1.0 / np.maximum(vals, cut), 0.0)
-    r_inv = (vecs * inv_vals) @ vecs.conj().T
-    # pre-compose X -> r_inv X r_inv^dagger on the input block, in Choi form
-    lift = np.kron(np.eye(d_w), r_inv.T)
+    n = ((vecs * inv_vals) @ vecs.conj().T) @ m
+    # sigma[(w, e, b), (g, f, c)] = sum n*[e, (a, i)] tau[(a, w, i, b), (p, g, j, c)] n[f, (p, j)]
+    j8 = tau.J.reshape(d_ao, d_w, d_ai, d_bi, d_ao, d_w, d_ai, d_bi)
+    half = n.conj() @ j8.transpose(0, 2, 1, 3, 4, 5, 6, 7).reshape(d_ao * d_ai, -1)
+    half = half.reshape(env, d_w, d_bi, d_ao, d_w, d_ai, d_bi).transpose(1, 0, 2, 4, 6, 3, 5)
+    c6 = (half.reshape(-1, d_ao * d_ai) @ n.T).reshape(d_w, env, d_bi, d_w, d_bi, env)
+    d_s = d_w * env * d_bi
     sigma = ChoiMap(b_out, (env,) + b_in,
-                    check_hermitian(lift @ c @ lift.conj().T, tol=1e-6), validate=False)
+                    check_hermitian(c6.transpose(0, 1, 2, 3, 5, 4).reshape(d_s, d_s),
+                                    tol=1e-6), validate=False)
     me = min_eig(sigma.J)
     if me < -max(TOLS.psd, tol) * max(1.0, float(np.linalg.norm(sigma.J))):
         raise InconsistencyError(

@@ -440,6 +440,28 @@ class TestMorphisms:
         with pytest.raises(ShapeMismatchError):
             check_morphism(f, mk_first_order(4), mk_first_order(2))
 
+    @pytest.mark.parametrize("case", ["FO(2)->FO(3)", "chan->[FO(2),FO(3)]"])
+    def test_pushed_points_match_apply(self, chan, case, monkeypatch):
+        # the points check_morphism measures against the target hull are the
+        # source's affine points sent through ChoiMap.apply, with d_in != d_out
+        rng = np.random.default_rng(31)
+        fo2, fo3 = mk_first_order(2), mk_first_order(3)
+        if case == "FO(2)->FO(3)":
+            a, b, f = fo2, fo3, random_cptp(rng, 2, 3)
+        else:
+            a, b = chan, hom_obj(fo2, fo3)
+            f = structural("identity", 2).tensor(random_cptp(rng, 2, 3))
+        seen = []
+        measure = b.states.distances
+        monkeypatch.setattr(b.states, "distances",
+                            lambda xs: seen.append(xs) or measure(xs))
+        check_morphism(f, a, b)
+        points = coords_to_herm(a.states.affine_points(), a.dim)
+        want = herm_to_coords(np.stack([f.apply(p) for p in points]))
+        (got,) = seen
+        assert got.shape == want.shape == (a.states.rank() + 1, b.dim * b.dim)
+        assert np.max(np.abs(got - want)) < 1e-12
+
     def test_channel_type_morphism(self, rng, chan):
         # conjugating a channel name by a local output unitary is a type map
         g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
@@ -475,6 +497,17 @@ class TestStructuralMembership:
         lhs = float(np.real(np.trace(np.kron(a, b) @ x)))
         rhs = float(herm_to_coords(a) @ c @ herm_to_coords(b))
         assert abs(lhs - rhs) < 1e-10
+
+    @pytest.mark.parametrize("dl,dr", [(2, 3), (3, 2), (2, 4), (4, 2), (16, 16)])
+    def test_matricize_matches_dense_basis_contraction(self, dl, dr):
+        # oracle: contract x against every dense left basis matrix, then take
+        # coordinates of the reduced right blocks; non-square cuts catch a swap
+        x = random_density(np.random.default_rng(100 * dl + dr), dl * dr)
+        basis_l = coords_to_herm(np.eye(dl * dl), dl)
+        red = np.einsum('kab,buav->kuv', basis_l, x.reshape(dl, dr, dl, dr))
+        got = matricize(x, dl, dr)
+        assert got.shape == (dl * dl, dr * dr)
+        assert np.max(np.abs(got - herm_to_coords(red))) < 1e-12
 
     def test_par_member_agrees(self, rng, chan):
         p = par_obj(chan, chan)

@@ -214,6 +214,18 @@ def test_every_import_is_used():
     assert not unused, f"imported but never used: {', '.join(unused)}"
 
 
+def test_no_einsum_with_three_or_more_operands():
+    # numpy runs a multi-operand einsum as one nested loop; contract pairwise
+    # through reshapes and BLAS products instead
+    offenders = []
+    for path in sorted(Path(caustyk.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and _call_name(node) == "einsum"
+                    and len(node.args) - 1 >= 3):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
 class TestChoiForms:
     def test_kraus_oracle_upper_units(self):
         # rho -> |0><0| rho |0><0| + |0><1| rho |1><0| maps everything onto |0><0|
@@ -279,6 +291,22 @@ class TestComposition:
         np.testing.assert_allclose(
             f.tensor(g).apply(np.kron(r1, r2)),
             np.kron(f.apply(r1), g.apply(r2)), atol=1e-12)
+
+    def test_tensor_is_kron_then_regroup_exactly(self):
+        rng = np.random.default_rng(12)
+
+        def random_map(o, i):
+            n = int(np.prod(o + i))
+            j = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            return ChoiMap(o, i, j, validate=False)
+
+        for o1, i1, o2, i2 in [((2, 3), (2,), (1,), (3, 2)), ((2,), (2,), (2,), (2,)),
+                               ((4,), (1,), (3,), (5,))]:
+            f, g = random_map(o1, i1), random_map(o2, i2)
+            want = regroup(np.kron(f.J, g.J), [o1, i1, o2, i2], [0, 2, 1, 3])
+            got = f.tensor(g, validate=False)
+            assert got.out_dims == o1 + o2 and got.in_dims == i1 + i2
+            assert np.array_equal(got.J, want)
 
     def test_snake_identity(self):
         d = 3

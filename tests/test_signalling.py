@@ -7,7 +7,7 @@ import pytest
 
 from caustyk.causobj import (cup_state, hom_obj, member, mk_first_order,
                              par_obj, seq_member, seq_obj)
-from caustyk.cpmaps import ChoiMap, regroup, structural
+from caustyk.cpmaps import ChoiMap, regroup, stinespring, structural
 from caustyk.errors import (InconsistencyError, NotOneWayError,
                             ShapeMismatchError)
 from caustyk.sampling import (identity_comb_name, pad_pair, random_cptp,
@@ -149,7 +149,44 @@ class TestVerdicts:
             assert back == steers_first_party(cm, rng)
 
 
+def dense_frame_teeth(tau: ChoiMap):
+    """Teeth at the (1, 1) cut by the dense frame construction, as an oracle.
+
+    The early marginal fed the maximally mixed late input is dilated to ``V``;
+    the second tooth conjugates the channel by ``V (x) I`` built explicitly,
+    then pre-composes the inverse env marginal as the dense ``I (x) r_inv^T``.
+    """
+    d_ao, d_ai = tau.out_dims[0], tau.in_dims[0]
+    d_w, d_bi = tau.d_out // d_ao, tau.d_in // d_ai
+    marg = tau.marginal([0]).J.reshape(d_ao, d_ai, d_bi, d_ao, d_ai, d_bi)
+    j_early = np.einsum('olrqmr->olqm', marg).reshape(d_ao * d_ai, -1) / d_bi
+    iso, env = stinespring(ChoiMap((d_ao,), (d_ai,), j_early, validate=False))
+    v4 = iso.v.reshape(d_ao, env, d_ai)
+    v3 = np.einsum('aei,bc->aebic', v4, np.eye(d_bi)).reshape(
+        d_ao, env * d_bi, d_ai * d_bi)
+    j8 = tau.J.reshape(d_ao, d_w, d_ai * d_bi, d_ao, d_w, d_ai * d_bi)
+    c = np.einsum('afx,awxcgy,chy->wfgh', v3.conj(), j8, v3).reshape(
+        d_w * env * d_bi, -1)
+    vals, vecs = np.linalg.eigh(np.einsum('afx,agx->fg', v3.conj(), v3).T)
+    cut = max(float(vals[-1]), 1.0) * 1e-12
+    inv_vals = np.where(vals > cut, 1.0 / np.maximum(vals, cut), 0.0)
+    lift = np.kron(np.eye(d_w), ((vecs * inv_vals) @ vecs.conj().T).T)
+    return env, iso.as_choi().J, lift @ c @ lift.conj().T
+
+
 class TestDecompose:
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("z", [1, 2, 3, 4])
+    def test_teeth_match_dense_frame_oracle(self, d, z):
+        rng = rng_from(10 * d + z)
+        for _ in range(3):
+            tau = random_oneway_channel(rng, d, z)
+            pair = comb_decompose(tau, 1, 1)
+            env, rho, sigma = dense_frame_teeth(tau)
+            assert pair.z_dim == env
+            assert np.max(np.abs(pair.rho.J - rho)) < 1e-12
+            assert np.max(np.abs(pair.sigma.J - sigma)) < 1e-12
+
     def test_identity_comb(self):
         idc = party_choi(identity_comb_name(2), (2, 2), (2, 2), 1, 1)
         pair = comb_decompose(idc, 1, 1)
