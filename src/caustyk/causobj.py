@@ -283,11 +283,18 @@ def check_morphism(f: ChoiMap, a: CausObject, b: CausObject,
     if f.d_in != a.dim or f.d_out != b.dim:
         raise ShapeMismatchError(
             f"map has shape {f.d_in}->{f.d_out}, types have {a.dim}->{b.dim}")
-    me = min_eig(f.J)
-    if me < -max(TOLS.psd, tol) * max(1.0, float(np.linalg.norm(f.J))):
-        raise MorphismError(
-            f"map is not completely positive (min Choi eigenvalue {me:.3e})",
-            reason="cp", residual=-me)
+    floor = max(TOLS.psd, tol) * max(1.0, float(np.linalg.norm(f.J)))
+    # a Cholesky factor of H + floor I proves min eig(H) >= -floor for the
+    # Hermitian part H that min_eig reads (cholesky sees one triangle only);
+    # the spectrum is computed only to decide and report a map that fails it
+    try:
+        np.linalg.cholesky((f.J + f.J.conj().T) / 2.0 + floor * np.eye(len(f.J)))
+    except np.linalg.LinAlgError:
+        me = min_eig(f.J)
+        if me < -floor:
+            raise MorphismError(
+                f"map is not completely positive (min Choi eigenvalue {me:.3e})",
+                reason="cp", residual=-me) from None
     di, do = f.d_in, f.d_out
     mats = coords_to_herm(a.states.affine_points(), di)
     # Phi(rho)[t, u] = sum_{s, v} J[(t, s), (u, v)] rho[s, v]: one GEMM for all points

@@ -13,7 +13,9 @@ Channels compose in Choi form only: :func:`act_on_factors` is the one way a
 channel acts on a block of another map's Choi matrix. On an output block that
 is post-composition; on an input block it is pre-composition, done by acting
 with the mirror :func:`transpose_channel` (the link product of a network of
-channels).
+channels). Two teeth of a comb join the same way: the second tooth's late
+input is bent to an output, and the bent map acts on the first tooth's
+mediator output.
 """
 
 from __future__ import annotations

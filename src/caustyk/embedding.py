@@ -20,17 +20,18 @@ from typing import Callable
 
 import numpy as np
 
-from .causobj import (CausMorphism, CausObject, _wire_dims, check_morphism,
-                      choi_of_state, cup_state, dual_obj, hom_obj,
-                      interchange_check, member, mk_all_states, mk_classical,
-                      mk_first_order, mk_unit, objects_equal, par_obj,
-                      seq_obj, state_of_choi, tensor_obj)
+from .causobj import (CausMorphism, CausObject, check_morphism, cup_state,
+                      dual_obj, hom_obj, interchange_check, member,
+                      mk_all_states, mk_classical, mk_first_order, mk_unit,
+                      objects_equal, par_obj, seq_obj, state_of_choi,
+                      tensor_obj)
 from .cpmaps import ChoiMap, act_on_factors, regroup, structural, transpose_channel
 from .errors import MorphismError, ShapeMismatchError
 from .sampling import (random_coarse_graining, random_decomp_pair,
                        random_first_order, random_state_morphism, rng_from,
                        sample_member)
-from .signalling import DecompPair, coend_equiv, comb_decompose, recompose
+from .signalling import (DecompPair, coend_equiv, comb_decompose, party_choi,
+                         party_name, recompose)
 
 # contract tolerances of the audited laws
 FUNCTOR_TOL = 1e-10
@@ -180,12 +181,8 @@ def lax_seq(pair: DecompPair) -> np.ndarray:
     boundary belong to hom-shaped middle slots, and output wires beyond
     the slots form the future boundary.
     """
-    cm = recompose(pair)
-    ins, outs = _wire_dims(cm.in_dims), _wire_dims(cm.out_dims)
-    nri = len(_wire_dims(pair.rho.in_dims))
-    nro = len(_wire_dims(pair.rho.out_dims[:-1]))
-    blocks = [ins[:nri], ins[nri:], outs[:nro], outs[nro:]]
-    return regroup(state_of_choi(cm), blocks, [0, 2, 1, 3])
+    return party_name(recompose(pair), len(pair.rho.out_dims) - 1,
+                      len(pair.rho.in_dims))
 
 
 def inverse_seq(tau: np.ndarray, a: CausObject, b: CausObject,
@@ -210,9 +207,9 @@ def inverse_seq(tau: np.ndarray, a: CausObject, b: CausObject,
     if tau.shape != (total, total):
         raise ShapeMismatchError(
             f"element is {tau.shape}, typing wants ({total}, {total})")
-    # gather the input wires in front
-    st = regroup(tau, [fx, fa_in, fa_out, fb_in, fb_out, fxp], [0, 1, 3, 2, 4, 5])
-    cm = choi_of_state(st, fx + fa_in + fb_in, fa_out + fb_out + fxp)
+    # tau is already party-interleaved: (X, A_in), A_out, B_in, (B_out, X')
+    cm = party_choi(tau, fa_out + fb_out + fxp, (fx + fa_in + fb_in) or (1,),
+                    len(fa_out), len(fx) + a_inputs)
     return comb_decompose(cm, n_out_a=len(fa_out), n_in_a=len(fx) + a_inputs)
 
 

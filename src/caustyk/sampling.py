@@ -135,19 +135,6 @@ def random_twoway_channel(rng, d: int = 2) -> ChoiMap:
     return ChoiMap((d, d), (d, d), j)
 
 
-def identity_comb_name(d: int = 2) -> np.ndarray:
-    """Name of the comb that hands the slot channel straight through.
-
-    Layout (a_in, a_out, b_in, b_out): each party is a plain wire, so a
-    channel plugged between a_out and b_in is returned unchanged.
-    """
-    psi = np.zeros(d ** 4, dtype=complex)
-    for i in range(d):
-        for k in range(d):
-            psi[((i * d + i) * d + k) * d + k] = 1.0
-    return np.outer(psi, psi.conj())
-
-
 # -- equivalent-pair surgery -----------------------------------------------------
 
 def random_decomp_pair(rng, d: int = 2, z: int = 2):

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .causobj import (CausObject, hom_obj, member, mk_first_order, par_obj,
-                      state_of_choi, tensor_obj)
 from .cpmaps import (ChoiMap, Isometry, act_on_factors, choi_of_kraus,
                      dilation_isometry, regroup, stinespring, structural,
                      transpose_channel)
@@ -110,14 +108,6 @@ class DecompPair:
     sigma: ChoiMap        # (Z, B_in...) -> B_out...
     z_dim: int
 
-    def validate_typing(self, a: CausObject, b: CausObject,
-                        x: CausObject, xp: CausObject) -> bool:
-        z = mk_first_order(self.z_dim)
-        first = hom_obj(x, par_obj(a, z))
-        second = hom_obj(tensor_obj(z, xp), b)
-        return (member(first, state_of_choi(self.rho))
-                and member(second, state_of_choi(self.sigma)))
-
 
 def med_precompose(sigma: ChoiMap, ch: ChoiMap) -> ChoiMap:
     """Pre-compose a channel on the mediator (first input factor) of a tooth."""
@@ -131,16 +121,28 @@ def med_precompose(sigma: ChoiMap, ch: ChoiMap) -> ChoiMap:
 
 
 def recompose(pair: DecompPair) -> ChoiMap:
-    """Feed the mediator leg of the first tooth through the second."""
+    """Feed the mediator leg of the first tooth through the second.
+
+    The link product over the mediator:
+    ``J[(a, b, i, c), (a', b', i', c')] = sum_{z, z'} rho.J[(a, z, i), (a', z', i')]
+    * sigma.J[(b, z, c), (b', z', c')]`` with ``a`` the early outputs, ``b``
+    the late outputs, ``i`` the early inputs and ``c`` the late inputs. The
+    second tooth's late input is read as an output (the same operator with
+    its factors regrouped to ``(B_out, B_in, Z)``, a map ``Z -> (B_out, B_in)``)
+    and post-composed on the first tooth's mediator.
+    """
     rho, sigma = pair.rho, pair.sigma
     if rho.out_dims[-1] != pair.z_dim or sigma.in_dims[0] != pair.z_dim:
         raise ShapeMismatchError("mediator dimensions of the teeth disagree")
-    wide = rho
-    for d in sigma.in_dims[1:]:
-        wide = wide.tensor(structural("identity", d), validate=False)
-    # wide: out (A_out..., Z, B_in wires), in (A_in..., B_in...)
-    pos = len(rho.out_dims) - 1
-    return wide.act_on_out(pos, len(sigma.in_dims), sigma)
+    a_out, b_out, b_in = rho.out_dims[:-1], sigma.out_dims, sigma.in_dims[1:]
+    bent = ChoiMap(b_out + b_in, (pair.z_dim,),
+                   regroup(sigma.J, [b_out, (pair.z_dim,), b_in], [0, 2, 1]),
+                   validate=False)
+    j = act_on_factors(rho.J, rho.factor_dims, len(a_out), 1, bent)
+    # (A_out, B_out, B_in, A_in) -> (A_out, B_out, A_in, B_in)
+    return ChoiMap(a_out + b_out, rho.in_dims + b_in,
+                   regroup(j, [a_out + b_out, b_in, rho.in_dims], [0, 2, 1]),
+                   validate=False)
 
 
 def comb_decompose(tau: ChoiMap, n_out_a: int, n_in_a: int,
@@ -181,7 +183,8 @@ def comb_decompose(tau: ChoiMap, n_out_a: int, n_in_a: int,
     # contracted with the row and the column index of tau by one GEMM each.
     m = iso.v.reshape(d_ao, env, d_ai).transpose(1, 0, 2).reshape(env, d_ao * d_ai)
     vals, vecs = np.linalg.eigh(m @ m.conj().T)      # env marginal
-    cut = max(float(vals[-1]), 1.0) * 1e-12
+    # well below stinespring's keep floor (TOLS.psd), so no kept direction is cut
+    cut = max(float(vals[-1]), 1.0) * TOLS.psd * 1e-3
     inv_vals = np.where(vals > cut, 1.0 / np.maximum(vals, cut), 0.0)
     n = ((vecs * inv_vals) @ vecs.conj().T) @ m
     # sigma[(w, e, b), (g, f, c)] = sum n*[e, (a, i)] tau[(a, w, i, b), (p, g, j, c)] n[f, (p, j)]
@@ -192,7 +195,7 @@ def comb_decompose(tau: ChoiMap, n_out_a: int, n_in_a: int,
     d_s = d_w * env * d_bi
     sigma = ChoiMap(b_out, (env,) + b_in,
                     check_hermitian(c6.transpose(0, 1, 2, 3, 5, 4).reshape(d_s, d_s),
-                                    tol=1e-6), validate=False)
+                                    tol=TOLS.decomp), validate=False)
     me = min_eig(sigma.J)
     if me < -max(TOLS.psd, tol) * max(1.0, float(np.linalg.norm(sigma.J))):
         raise InconsistencyError(

@@ -435,6 +435,38 @@ class TestMorphisms:
         g = ChoiMap((2,), (2,), j, validate=False)
         check_morphism(g, mk_first_order(2), mk_first_order(2), tol=1e-2)
 
+    @pytest.mark.parametrize("tol", [None, 1e-6])
+    @pytest.mark.parametrize("depth", [0.5, 2.0])
+    def test_cp_gate_floor(self, tol, depth):
+        # identity channel with -c on |01><01| and +c on |11><11|: trace
+        # preserving, Hermitian, min Choi eigenvalue exactly -c
+        floor = max(1e-9, tol or 0.0) * 2.0
+        c = depth * floor
+        j = structural("identity", 2).J.astype(complex)
+        j[1, 1] -= c
+        j[3, 3] += c
+        assert np.linalg.eigvalsh(j)[0] == pytest.approx(-c, rel=1e-6)
+        assert max(1e-9, tol or 0.0) * np.linalg.norm(j) == pytest.approx(floor, rel=1e-5)
+        f = ChoiMap((2,), (2,), j, validate=False)
+        if depth < 1:
+            check_morphism(f, mk_first_order(2), mk_first_order(2), tol=tol)
+            return
+        with pytest.raises(MorphismError) as err:
+            check_morphism(f, mk_first_order(2), mk_first_order(2), tol=tol)
+        assert err.value.reason == "cp"
+        assert err.value.residual == -np.linalg.eigvalsh((j + j.conj().T) / 2)[0]
+
+    def test_cp_gate_skips_spectrum_on_psd_maps(self, monkeypatch):
+        # the Cholesky certificate decides CP maps without computing the spectrum
+        calls = []
+        monkeypatch.setattr("caustyk.causobj.min_eig",
+                            lambda m: calls.append(m) or 0.0)
+        # a rank-one Choi matrix (the identity channel) and a generic channel
+        for f in (choi_of_kraus([np.eye(2)], 2, 2),
+                  random_cptp(np.random.default_rng(3), 2, 2)):
+            check_morphism(f, mk_first_order(2), mk_first_order(2))
+        assert calls == []
+
     def test_dimension_mismatch(self, chan):
         f = structural("identity", 2)
         with pytest.raises(ShapeMismatchError):

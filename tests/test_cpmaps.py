@@ -226,6 +226,15 @@ def test_no_einsum_with_three_or_more_operands():
     assert offenders == []
 
 
+def test_signalling_sits_below_the_type_layer():
+    # teeth join and split in Choi form alone: signalling takes nothing from
+    # the types, the families or the samplers built on top of it
+    path = Path(caustyk.__file__).parent / "signalling.py"
+    imported = {node.module for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ImportFrom) and node.level == 1}
+    assert imported & {"causobj", "embedding", "sampling"} == set()
+
+
 class TestChoiForms:
     def test_kraus_oracle_upper_units(self):
         # rho -> |0><0| rho |0><0| + |0><1| rho |1><0| maps everything onto |0><0|

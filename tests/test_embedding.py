@@ -18,10 +18,9 @@ from caustyk.embedding import (AGREE_TOL, BlackBoxTransform, F_eval, F_mor,
                                profunctor_action, strength,
                                strong_closure_check, tensor_morphisms,
                                transform_of_morphism)
-from caustyk.sampling import (identity_comb_name, pad_pair,
-                              random_channel_supermap, random_coarse_graining,
-                              random_comb_relaxation, random_cptp,
-                              random_decomp_pair, random_density,
+from caustyk.sampling import (pad_pair, random_channel_supermap,
+                              random_coarse_graining, random_comb_relaxation,
+                              random_cptp, random_decomp_pair, random_density,
                               random_state_morphism, random_unitary, rng_from,
                               rotate_pair)
 from caustyk.signalling import DecompPair, coend_equiv, comb_decompose, party_choi
@@ -269,12 +268,14 @@ class TestLaxTensor:
 
 class TestSeqPairing:
     def test_wire_comb_element_and_roundtrip(self):
-        comb = party_choi(identity_comb_name(2), (2, 2), (2, 2), 1, 1)
+        # two plain wires, in layout (a_in, a_out, b_in, b_out)
+        name = np.kron(cup_state(2), cup_state(2))
+        comb = party_choi(name, (2, 2), (2, 2), 1, 1)
         pair = comb_decompose(comb, 1, 1)
         assert pair.z_dim == 1
         tau = lax_seq(pair)
         # factor order equals the stored wire order, so nothing moves
-        assert np.allclose(tau, identity_comb_name(2), atol=1e-9)
+        assert np.allclose(tau, name, atol=1e-9)
         back = inverse_seq(tau, CHAN, CHAN, UNIT, UNIT,
                            a_inputs=1, b_inputs=1)
         assert back.z_dim == 1
