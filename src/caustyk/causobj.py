@@ -9,7 +9,6 @@ closed under double dualization, which is what makes them compose.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -19,7 +18,8 @@ from .cpmaps import ChoiMap, regroup, structural, transpose_channel
 from .errors import (FlatnessError, HermiticityError, InvalidDimensionError,
                      MorphismError, ShapeMismatchError)
 from .hermspace import (AffineSubspace, check_hermitian, coords_to_herm,
-                        herm_to_coords, min_eig, psd_check, vec_identity)
+                        herm_to_coords, kron_rows, matricize, min_eig,
+                        psd_check, vec_identity)
 from .tolerances import TOLS
 
 
@@ -89,7 +89,7 @@ def mk_first_order(d: int, *, label: str | None = None) -> CausObject:
     iv = vec_identity(d)
     rows = (iv / math.sqrt(d))[None, :]
     vals = np.array([1.0 / math.sqrt(d)])
-    states = AffineSubspace.from_constraints(d, rows, vals, orthonormal=True)
+    states = AffineSubspace(d, cons=rows, vals=vals)
     return CausObject((d,), states, label=label or f"FO({d})")
 
 
@@ -112,7 +112,7 @@ def mk_classical(n: int) -> CausObject:
     rows = np.concatenate([(iv / math.sqrt(n))[None, :], np.eye(m)[n:]], axis=0)
     vals = np.zeros(rows.shape[0])
     vals[0] = 1.0 / math.sqrt(n)
-    states = AffineSubspace.from_constraints(n, rows, vals, orthonormal=True)
+    states = AffineSubspace(n, cons=rows, vals=vals)
     return CausObject((n,), states, label=f"CLA({n})")
 
 
@@ -132,54 +132,6 @@ def dual_obj(a: CausObject) -> CausObject:
 
 
 _GRID_LIMIT = 250_000
-
-
-@functools.lru_cache(maxsize=64)
-def _kron_terms(na: int, nb: int) -> tuple[np.ndarray, ...]:
-    """How each coordinate of kron(X, Y) comes from coordinates of X and Y.
-
-    Every coordinate of an ``na*nb``-dim Kronecker product is ``c1 x[i1]
-    y[j1] + c2 x[i2] y[j2]`` (``c2 = 0`` when one term suffices); returns
-    ``(i1, j1, c1, i2, j2, c2)``, each of length ``(na*nb)**2``.
-    """
-    r2 = math.sqrt(2.0)
-
-    def parts(n):
-        # real and imaginary part of entry (i, j) as (coordinate, coefficient)
-        k = n * (n - 1) // 2
-        pair = np.zeros((n, n), dtype=int)
-        iu, ju = np.triu_indices(n, k=1)
-        pair[iu, ju] = pair[ju, iu] = np.arange(k)
-        idx = np.arange(n)
-        on_diag = idx[:, None] == idx[None, :]
-        re_i = np.where(on_diag, idx[:, None], n + pair)
-        re_c = np.where(on_diag, 1.0, 1.0 / r2)
-        im_i = np.where(on_diag, 0, n + k + pair)
-        im_c = np.where(on_diag, 0.0, np.sign(idx[:, None] - idx[None, :]) / r2)
-        return re_i, re_c, im_i, im_c
-
-    d = na * nb
-    iu, ju = np.triu_indices(d, k=1)
-    rows = np.concatenate([np.arange(d), iu, iu])
-    cols = np.concatenate([np.arange(d), ju, ju])
-    i, k = np.divmod(rows, nb)
-    j, l = np.divmod(cols, nb)
-    xr, xrc, xi, xic = (t[i, j] for t in parts(na))
-    yr, yrc, yi, yic = (t[k, l] for t in parts(nb))
-    # diagonal and symmetric coordinates carry Re(x y), antisymmetric -Im(x y)
-    scale = np.concatenate([np.ones(d), np.full(2 * iu.size, r2)])
-    is_im = np.arange(d * d) >= d + iu.size
-    re = (xr, yr, scale * xrc * yrc, xi, yi, -scale * xic * yic)
-    im = (xr, yi, -scale * xrc * yic, xi, yr, -scale * xic * yrc)
-    return tuple(np.where(is_im, m, r) for r, m in zip(re, im))
-
-
-def _kron_rows(left: np.ndarray, right: np.ndarray, na: int, nb: int) -> np.ndarray:
-    """Coordinate rows of kron(L_k, R_l), ``k`` major, from coordinate rows."""
-    i1, j1, c1, i2, j2, c2 = _kron_terms(na, nb)
-    lt = np.stack([left[:, i1] * c1, left[:, i2] * c2])
-    rt = np.stack([right[:, j1], right[:, j2]])
-    return np.einsum('tkm,tlm->klm', lt, rt).reshape(-1, na * na * nb * nb)
 
 
 def tensor_obj(a: CausObject, b: CausObject) -> CausObject:
@@ -202,7 +154,7 @@ def tensor_obj(a: CausObject, b: CausObject) -> CausObject:
             f"product grid of {ra + 1} x {rb + 1} points is too large")
     ba, bb = a.states.base_vec(), b.states.base_vec()
     na, nb = float(np.linalg.norm(ba)), float(np.linalg.norm(bb))
-    rows = _kron_rows(np.vstack([ba / na, a.states.dirs_coords()]),
+    rows = kron_rows(np.vstack([ba / na, a.states.dirs_coords()]),
                       np.vstack([bb / nb, b.states.dirs_coords()]), a.dim, b.dim)
     states = AffineSubspace(a.dim * b.dim, base=na * nb * rows[0], dirs=rows[1:])
     return CausObject(a.factor_dims + b.factor_dims, states, label=lab)
@@ -239,7 +191,7 @@ def seq_obj(a: CausObject, b: CausObject) -> CausObject:
         return CausObject(p.factor_dims, p.states, effects=p._effects, label=lab)
     eff = b.effects
     pcons, pvals = p.states.cons_rows()
-    dirs = _kron_rows(np.eye(a.dim * a.dim), eff.dirs_coords(), a.dim, b.dim)
+    dirs = kron_rows(np.eye(a.dim * a.dim), eff.dirs_coords(), a.dim, b.dim)
     rows = np.vstack([pcons, dirs])
     vals = np.concatenate([pvals, np.zeros(dirs.shape[0])])
     states = AffineSubspace.from_constraints(p.dim, rows, vals)
@@ -250,7 +202,7 @@ def seq_obj(a: CausObject, b: CausObject) -> CausObject:
 
 def member(obj: CausObject, mat: np.ndarray, tol: float | None = None) -> bool:
     """Is ``mat`` a state of ``obj``: positive semidefinite and on the hull."""
-    mat = check_hermitian(mat, tol=max(TOLS.herm, tol or TOLS.sub))
+    mat = check_hermitian(mat, tol=max(TOLS.herm, TOLS.sub if tol is None else tol))
     if mat.shape[0] != obj.dim:
         raise ShapeMismatchError(
             f"state of dim {mat.shape[0]} offered to type of dim {obj.dim}")
@@ -287,8 +239,11 @@ def check_morphism(f: ChoiMap, a: CausObject, b: CausObject,
     # a Cholesky factor of H + floor I proves min eig(H) >= -floor for the
     # Hermitian part H that min_eig reads (cholesky sees one triangle only);
     # the spectrum is computed only to decide and report a map that fails it
+    h = f.J + f.J.conj().T
+    h /= 2.0
+    h.reshape(-1)[::len(h) + 1] += floor
     try:
-        np.linalg.cholesky((f.J + f.J.conj().T) / 2.0 + floor * np.eye(len(f.J)))
+        np.linalg.cholesky(h)
     except np.linalg.LinAlgError:
         me = min_eig(f.J)
         if me < -floor:
@@ -319,69 +274,46 @@ def cup_state(d: int) -> np.ndarray:
 
 # -- large-composite membership ----------------------------------------------
 
-def _herm_coords(t: np.ndarray) -> np.ndarray:
-    """``Tr(B_k H)`` for each matrix ``H`` on the last two axes; see :func:`matricize`."""
-    n = t.shape[-1]
-    iu, ju = np.triu_indices(n, k=1)
-    upper, lower = t[..., iu, ju], t[..., ju, iu]
-    r2 = math.sqrt(2.0)
-    return np.concatenate([np.diagonal(t, axis1=-2, axis2=-1), (upper + lower) / r2,
-                           1j * (upper - lower) / r2], axis=-1)
-
-
-def matricize(x: np.ndarray, d_left: int, d_right: int) -> np.ndarray:
-    """Coordinate block matrix C[i, j] = <B_i (x) B_j, x> of a bipartite state.
-
-    ``x`` is reordered to ``X[(a, b), (u, v)] = x[(a, u), (b, v)]`` and each
-    side is mapped to the coordinates ``Tr(B_k H)`` by a fixed index map, in
-    :mod:`hermspace` basis order: ``H[a, a]``, then ``(H[a, b] + H[b, a]) /
-    sqrt(2)`` and ``1j (H[a, b] - H[b, a]) / sqrt(2)`` for ``a < b``. Stays at
-    block-sized ambient dimensions, so membership tests on big composites
-    never touch the full product coordinate space.
-    """
-    x4 = x.reshape(d_left, d_right, d_left, d_right)
-    left = _herm_coords(x4.transpose(1, 3, 0, 2))       # (u, v, i)
-    return _herm_coords(left.transpose(2, 0, 1)).real   # (i, j)
-
-
-def par_member(x: np.ndarray, a: CausObject, b: CausObject,
-               tol: float | None = None, *, require_psd: bool = True) -> bool:
-    """Membership in the par composite without building the composite type."""
-    tol = TOLS.sub if tol is None else tol
-    x = check_hermitian(x, tol=max(TOLS.herm, tol))
+def _psd_on_composite(x: np.ndarray, a: CausObject, b: CausObject) -> bool:
+    """Gate ``x`` as a Hermitian matrix on the composite; is it PSD?"""
+    x = check_hermitian(x, tol=max(TOLS.herm, TOLS.sub))
     if x.shape[0] != a.dim * b.dim:
         raise ShapeMismatchError("state dimension does not match the composite")
-    if require_psd and not psd_check(x, tol):
-        return False
-    if a.dim == 1:
-        return b.states.contains(x, tol)
-    if b.dim == 1:
-        return a.states.contains(x, tol)
-    c = matricize(x, a.dim, b.dim)
-    pe = a.effects.affine_points()
-    qe = b.effects.affine_points()
-    pair = pe @ c @ qe.T
+    return psd_check(x, TOLS.sub)
+
+
+def _pairs_to_one(x: np.ndarray, c: np.ndarray, a: CausObject, b: CausObject) -> bool:
+    """Every effect of ``a`` paired with every effect of ``b`` gives one on ``x``.
+
+    ``c`` is ``matricize(x, a.dim, b.dim)``, so the pairings are one product.
+    """
+    pair = a.effects.affine_points() @ c @ b.effects.affine_points().T
     scale = max(1.0, float(np.linalg.norm(x)))
-    return float(np.max(np.abs(pair - 1.0))) <= tol * scale
+    return float(np.max(np.abs(pair - 1.0))) <= TOLS.sub * scale
+
+
+def par_member(x: np.ndarray, a: CausObject, b: CausObject) -> bool:
+    """Membership in the par composite without building the composite type."""
+    if not _psd_on_composite(x, a, b):
+        return False
+    if a.dim == 1 or b.dim == 1:
+        return (b if a.dim == 1 else a).states.contains(x, TOLS.sub)
+    return _pairs_to_one(x, matricize(x, a.dim, b.dim), a, b)
 
 
 def seq_member(x: np.ndarray, a: CausObject, b: CausObject) -> bool:
     """Membership in the one-way composite without building the composite type."""
-    tol = TOLS.sub
-    x = check_hermitian(x, tol=max(TOLS.herm, tol))
-    if x.shape[0] != a.dim * b.dim:
-        raise ShapeMismatchError("state dimension does not match the composite")
-    if not psd_check(x, tol):
-        return False
-    if not par_member(x, a, b, tol, require_psd=False):
-        return False
     if b.first_order or a.dim == 1 or b.dim == 1:
-        return True
-    scale = max(1.0, float(np.linalg.norm(x)))
+        return par_member(x, a, b)
+    if not _psd_on_composite(x, a, b):
+        return False
     c = matricize(x, a.dim, b.dim)
+    if not _pairs_to_one(x, c, a, b):
+        return False
+    # contracting the second block with any effect direction of b gives zero
     cb, _ = b.effects.cons_rows()
     resid = c - (c @ cb.T) @ cb
-    return float(np.linalg.norm(resid)) <= tol * scale
+    return float(np.linalg.norm(resid)) <= TOLS.sub * max(1.0, float(np.linalg.norm(x)))
 
 
 def interchange_check(a_state: np.ndarray, a: CausObject, b: CausObject,

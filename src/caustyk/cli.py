@@ -376,6 +376,9 @@ def main(argv=None) -> int:
         # reader went away mid-print; silence the shutdown flush as well
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except MemoryError as err:
+        print(f"error: input too large for memory ({err})", file=sys.stderr)
+        return 2
     except (OSError, json.JSONDecodeError, KeyError) as err:
         print(f"error: cannot read input ({err})", file=sys.stderr)
         return 2

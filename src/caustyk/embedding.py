@@ -32,13 +32,14 @@ from .sampling import (random_coarse_graining, random_decomp_pair,
                        sample_member)
 from .signalling import (DecompPair, coend_equiv, comb_decompose, party_choi,
                          party_name, recompose)
+from .tolerances import TOLS
 
-# contract tolerances of the audited laws
-FUNCTOR_TOL = 1e-10
-SQUARE_TOL = 1e-9
-PROBE_TOL = 1e-9
-AGREE_TOL = 1e-8
-REBEND_TOL = 1e-9
+# contract tolerances of the audited laws, as multiples of the pack's base
+FUNCTOR_TOL = TOLS.sub / 10
+SQUARE_TOL = TOLS.sub
+PROBE_TOL = TOLS.sub
+AGREE_TOL = 10 * TOLS.sub
+REBEND_TOL = TOLS.sub
 
 # keep randomly probed composites at desk scale
 _DIM_CAP = 64
@@ -67,8 +68,8 @@ class FImage:
     xp: CausObject
     carrier: CausObject
 
-    def member(self, mat: np.ndarray, tol: float | None = None) -> bool:
-        return member(self.carrier, mat, tol)
+    def member(self, mat: np.ndarray) -> bool:
+        return member(self.carrier, mat)
 
     def sample(self, rng) -> np.ndarray:
         return sample_member(self.carrier, rng)
@@ -608,7 +609,7 @@ def law_suite(seed=0, budget="small") -> list[dict]:
         a, b = fo(2), fo(2)
         f = random_state_morphism(rng, a, b)
         g = random_state_morphism(rng, a, b)
-        while float(np.linalg.norm(f.map.J - g.map.J)) <= 1e-6:
+        while float(np.linalg.norm(f.map.J - g.map.J)) <= 1e3 * TOLS.sub:
             g = random_state_morphism(rng, a, b)
         ok = faithfulness_probe(f, g) and not faithfulness_probe(f, f)
         rec("faithfulness", (a.label, b.label, t), ok, 0.0 if ok else 1.0)

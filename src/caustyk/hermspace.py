@@ -8,7 +8,8 @@ here are the numerical bedrock of the package.
 Basis ordering is fixed once and for all: the ``n`` diagonal units first, then
 the symmetric pairs ``(E_ij + E_ji)/sqrt(2)`` for ``i < j`` in lexicographic
 order, then the antisymmetric pairs ``i(E_ji - E_ij)/sqrt(2)`` in the same
-order.
+order. No other module knows that order: Kronecker products of coordinates,
+and their transpose, are computed here from one per-entry table.
 
 An :class:`AffineSubspace` is held in *span form* (a minimum-norm base point
 plus orthonormal directions) or in *constraint form* (``{x : A x = c}`` with
@@ -27,6 +28,8 @@ loads it.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -77,23 +80,31 @@ def herm_to_coords(mats: np.ndarray) -> np.ndarray:
     return np.concatenate([diag, re, im], axis=-1)
 
 
+@functools.lru_cache(maxsize=64)
+def _entry_coords(n: int) -> tuple[np.ndarray, ...]:
+    """``(re_i, re_c, im_i, im_c)``, each ``n x n``: entry ``(i, j)`` of a
+    Hermitian matrix is ``c[re_i] * re_c + 1j * c[im_i] * im_c`` in coordinates ``c``."""
+    k = n * (n - 1) // 2
+    pair = np.zeros((n, n), dtype=int)
+    iu, ju = np.triu_indices(n, k=1)
+    pair[iu, ju] = pair[ju, iu] = np.arange(k)
+    idx = np.arange(n)
+    on_diag = idx[:, None] == idx[None, :]
+    re_i = np.where(on_diag, idx[:, None], n + pair)
+    re_c = np.where(on_diag, 1.0, 1.0 / _SQRT2)
+    im_i = np.where(on_diag, 0, n + k + pair)
+    im_c = np.where(on_diag, 0.0, np.sign(idx[:, None] - idx[None, :]) / _SQRT2)
+    return re_i, re_c, im_i, im_c
+
+
 def coords_to_herm(coords: np.ndarray, n: int) -> np.ndarray:
     """Inverse of :func:`herm_to_coords` for coordinates ``(..., n**2)``."""
     coords = np.asarray(coords, dtype=float)
     if coords.shape[-1] != n * n:
         raise ShapeMismatchError(
             f"coordinate length {coords.shape[-1]} does not match dimension {n}")
-    k = n * (n - 1) // 2
-    iu, ju = np.triu_indices(n, k=1)
-    diag = coords[..., :n]
-    re = coords[..., n:n + k] / _SQRT2
-    im = -coords[..., n + k:] / _SQRT2
-    out = np.zeros(coords.shape[:-1] + (n, n), dtype=complex)
-    idx = np.arange(n)
-    out[..., idx, idx] = diag
-    out[..., iu, ju] = re + 1j * im
-    out[..., ju, iu] = re - 1j * im
-    return out
+    re_i, re_c, im_i, im_c = _entry_coords(n)
+    return coords[..., re_i] * re_c + 1j * (coords[..., im_i] * im_c)
 
 
 def vec_identity(n: int) -> np.ndarray:
@@ -101,6 +112,60 @@ def vec_identity(n: int) -> np.ndarray:
     v = np.zeros(n * n)
     v[:n] = 1.0
     return v
+
+
+# ---------------------------------------------------------------------------
+# Kronecker products
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=64)
+def _kron_terms(na: int, nb: int) -> tuple[np.ndarray, ...]:
+    """How each coordinate of kron(X, Y) comes from coordinates of X and Y.
+
+    Every coordinate of an ``na*nb``-dim Kronecker product is ``c1 x[i1]
+    y[j1] + c2 x[i2] y[j2]`` (``c2 = 0`` when one term suffices); returns
+    ``(i1, j1, c1, i2, j2, c2)``, each of length ``(na*nb)**2``.
+    """
+    d = na * nb
+    iu, ju = np.triu_indices(d, k=1)
+    # product entries (row, col): the diagonal, then each upper pair once;
+    # the symmetric and antisymmetric coordinates of a pair read the same one
+    rows = np.concatenate([np.arange(d), iu])
+    cols = np.concatenate([np.arange(d), ju])
+    i, k = np.divmod(rows, nb)
+    j, l = np.divmod(cols, nb)
+    xr, xrc, xi, xic = (t[i, j] for t in _entry_coords(na))
+    yr, yrc, yi, yic = (t[k, l] for t in _entry_coords(nb))
+    # diagonal and symmetric coordinates carry Re(x y), antisymmetric -Im(x y)
+    scale = np.where(rows == cols, 1.0, _SQRT2)
+    re = (xr, yr, scale * xrc * yrc, xi, yi, -scale * xic * yic)
+    p = slice(d, None)
+    im = (xr[p], yi[p], -_SQRT2 * xrc[p] * yic[p], xi[p], yr[p], -_SQRT2 * xic[p] * yrc[p])
+    return tuple(np.concatenate([r, m]) for r, m in zip(re, im))
+
+
+def kron_rows(left: np.ndarray, right: np.ndarray, na: int, nb: int) -> np.ndarray:
+    """Coordinate rows of kron(L_k, R_l), ``k`` major, from coordinate rows."""
+    i1, j1, c1, i2, j2, c2 = _kron_terms(na, nb)
+    lt = np.stack([left[:, i1] * c1, left[:, i2] * c2])
+    rt = np.stack([right[:, j1], right[:, j2]])
+    return np.einsum('tkm,tlm->klm', lt, rt).reshape(-1, na * na * nb * nb)
+
+
+def matricize(x: np.ndarray, d_left: int, d_right: int) -> np.ndarray:
+    """Coordinate block matrix C[i, j] = <B_i (x) B_j, x> of a bipartite state.
+
+    The transpose of :func:`kron_rows`: ``kron_rows(L, R) @ herm_to_coords(x)
+    == (L @ C @ R.T).ravel()``, so each coordinate of ``x`` feeds the at most
+    two ``(i, j)`` pairs whose product it carries. Membership tests on big
+    composites so stay at block-sized ambient dimensions.
+    """
+    i1, j1, c1, i2, j2, c2 = _kron_terms(d_left, d_right)
+    xc, m = herm_to_coords(x), d_right * d_right
+    size = d_left * d_left * m
+    c = (np.bincount(i1 * m + j1, weights=xc * c1, minlength=size)
+         + np.bincount(i2 * m + j2, weights=xc * c2, minlength=size))
+    return c.reshape(-1, m)
 
 
 # ---------------------------------------------------------------------------
@@ -219,16 +284,14 @@ class AffineSubspace:
         return cls(n, base=herm_to_coords(mat), dirs=np.zeros((0, n * n)))
 
     @classmethod
-    def from_constraints(cls, matrix_dim: int, rows: np.ndarray, vals: np.ndarray,
-                         *, orthonormal: bool = False) -> "AffineSubspace":
+    def from_constraints(cls, matrix_dim: int, rows: np.ndarray,
+                         vals: np.ndarray) -> "AffineSubspace":
         """Build ``{x : rows @ x = vals}``; raises if the system is inconsistent."""
         m = matrix_dim * matrix_dim
         rows = np.asarray(rows, dtype=float).reshape(-1, m)
         vals = np.asarray(vals, dtype=float).reshape(-1)
         if rows.shape[0] != vals.shape[0]:
             raise ShapeMismatchError("constraint rows and values disagree in count")
-        if orthonormal:
-            return cls(matrix_dim, cons=rows, vals=vals)
         if rows.shape[0] == 0:
             return cls(matrix_dim, cons=np.zeros((0, m)), vals=np.zeros(0))
         u, s, vt = np.linalg.svd(rows, full_matrices=False)
@@ -306,7 +369,7 @@ class AffineSubspace:
         return self.distance(x) <= tol * max(float(np.linalg.norm(x)), 1.0)
 
     def contains(self, mat: np.ndarray, tol: float | None = None) -> bool:
-        mat = check_hermitian(mat, tol=max(TOLS.herm, (tol or TOLS.sub)))
+        mat = check_hermitian(mat, tol=max(TOLS.herm, TOLS.sub if tol is None else tol))
         if mat.shape[0] != self.matrix_dim:
             raise ShapeMismatchError(
                 f"matrix dim {mat.shape[0]} does not match subspace dim {self.matrix_dim}")

@@ -17,8 +17,8 @@ from caustyk.causobj import (CausMorphism, CausObject, check_morphism, choi_of_s
                              objects_equal, par_member, par_obj, seq_member,
                              seq_obj, state_of_choi, tensor_obj)
 from caustyk.cpmaps import ChoiMap, choi_of_kraus, permute_factors, structural
-from caustyk.errors import (FlatnessError, InvalidDimensionError, MorphismError,
-                            ShapeMismatchError)
+from caustyk.errors import (FlatnessError, HermiticityError, InvalidDimensionError,
+                            MorphismError, ShapeMismatchError)
 from caustyk.hermspace import AffineSubspace, coords_to_herm, herm_to_coords
 from caustyk.sampling import random_object
 
@@ -107,6 +107,17 @@ class TestAtoms:
         assert not member(c, coherent)
         # effects leave off-diagonals free
         assert dual_obj(c).states.rank() == 9 - 1 - 2
+
+    def test_zero_tol_means_zero(self, monkeypatch):
+        # member's own Hermiticity gate reads tol=0.0 as zero, as psd_check
+        # and contains do, so it rejects a 5e-10 defect before the PSD check
+        fo = mk_first_order(2)
+        skew = np.array([[0.5, 5e-10j], [0.0, 0.5]])
+        assert member(fo, skew)
+        monkeypatch.setattr("caustyk.causobj.psd_check",
+                            lambda *args: pytest.fail("member's gate let it through"))
+        with pytest.raises(HermiticityError):
+            member(fo, skew, tol=0.0)
 
     def test_all_states_of_channel_type_is_first_order(self, chan):
         alls = mk_all_states(chan)

@@ -549,6 +549,16 @@ class TestUsage:
         assert code == 2 and captured.out == ""
         assert captured.err.count("\n") == 1 and "finite" in captured.err
 
+    def test_input_too_large_for_memory(self, capsys, monkeypatch):
+        def refuse(tree):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array")
+        monkeypatch.setattr("caustyk.cli.elaborate", refuse)
+        code = main(["typeinfo", "FO(100000)"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == ("error: input too large for memory "
+                                "(Unable to allocate 74.5 GiB for an array)\n")
+
     def test_malformed_tolerance_env(self):
         src = str(Path(caustyk.__file__).resolve().parent.parent)
         for raw, ok in (("1e-8", True), ("nan", False), ("inf", False),

@@ -1,11 +1,16 @@
 """Boundary-indexed state families: evaluation, actions, pairings, audits."""
 
 import json
+import os
+import subprocess
+import sys
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import caustyk
 from caustyk.causobj import (CausMorphism, cup_state, hom_obj, mk_all_states,
                              mk_first_order, mk_unit, objects_equal, par_obj,
                              seq_obj, tensor_obj)
@@ -493,3 +498,21 @@ class TestLawSuite:
     def test_unknown_budget_rejected(self):
         with pytest.raises(ValueError):
             law_suite(seed=0, budget="huge")
+
+
+def test_law_tolerances_follow_the_pack():
+    # the audited laws' contract tolerances are multiples of TOLS.sub, so
+    # CAUSTYK_TOL rescales them with the rest of the pack
+    defaults = {"FUNCTOR_TOL": 1e-10, "SQUARE_TOL": 1e-9, "PROBE_TOL": 1e-9,
+                "AGREE_TOL": 1e-8, "REBEND_TOL": 1e-9}
+    names = list(defaults)
+    assert {n: getattr(caustyk.embedding, n) for n in names} == defaults
+    src = str(Path(caustyk.__file__).resolve().parent.parent)
+    script = ("import json\nimport caustyk.embedding as emb\n"
+              f"print(json.dumps({{n: getattr(emb, n) for n in {names!r}}}))\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, CAUSTYK_TOL="1e-7", PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    for name, value in json.loads(proc.stdout).items():
+        assert value == pytest.approx(100 * defaults[name], rel=1e-12), name

@@ -5,6 +5,9 @@ built from an explicitly constructed orthonormal Hermitian basis, so the fast
 vectorized path never gets to define its own correctness.
 """
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -19,6 +22,7 @@ from caustyk.errors import (
     InvalidDimensionError,
     ShapeMismatchError,
 )
+import caustyk
 from caustyk.hermspace import (
     AffineSubspace,
     _complement,
@@ -26,6 +30,8 @@ from caustyk.hermspace import (
     check_hermitian,
     coords_to_herm,
     herm_to_coords,
+    kron_rows,
+    matricize,
     min_eig,
     psd_check,
     vec_identity,
@@ -121,6 +127,46 @@ class TestCoordinateMap:
         big[0, 1] = 1e-4
         big[1, 0] = 1e-4
         check_hermitian(big)  # asymmetry tiny relative to scale
+
+
+class TestKronecker:
+    @pytest.mark.parametrize("na,nb", [(1, 3), (2, 2), (2, 3), (3, 2), (4, 4)])
+    def test_rows_match_dense_kron(self, na, nb):
+        rng = np.random.default_rng(10 * na + nb)
+        xs = [random_herm(rng, na) for _ in range(3)]
+        ys = [random_herm(rng, nb) for _ in range(2)]
+        got = kron_rows(herm_to_coords(np.stack(xs)), herm_to_coords(np.stack(ys)), na, nb)
+        want = herm_to_coords(np.stack([np.kron(x, y) for x in xs for y in ys]))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("na,nb", [(1, 3), (2, 2), (2, 3), (3, 2), (4, 4), (3, 9)])
+    def test_matricize_is_the_transpose_of_kron_rows(self, na, nb):
+        # kron_rows(L, R) @ coords(x) == (L @ matricize(x) @ R.T).ravel()
+        rng = np.random.default_rng(100 * na + nb)
+        left = rng.standard_normal((3, na * na))
+        right = rng.standard_normal((4, nb * nb))
+        x = random_herm(rng, na * nb)
+        lhs = kron_rows(left, right, na, nb) @ herm_to_coords(x)
+        rhs = (left @ matricize(x, na, nb) @ right.T).ravel()
+        np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12)
+
+    def test_only_hermspace_spells_the_basis(self):
+        # the basis order and its sqrt(2) scaling live in one module; the
+        # others go through the conversions and kron_rows/matricize
+        offenders = []
+        for path in sorted(Path(caustyk.__file__).parent.glob("*.py")):
+            if path.name == "hermspace.py":
+                continue
+            text = path.read_text()
+            if "sqrt(2" in text:
+                offenders.append(f"{path.name}: sqrt(2")
+            for node in ast.walk(ast.parse(text)):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                    if name == "triu_indices":
+                        offenders.append(f"{path.name}:{node.lineno}")
+        assert offenders == []
 
 
 class TestPsd:
@@ -244,6 +290,15 @@ class TestAffineSubspace:
         rows, vals = w.cons_rows()
         again = AffineSubspace.from_constraints(3, rows, vals)
         assert again.equals(w)
+
+    def test_zero_tol_means_zero(self):
+        # tol=0.0 is a tolerance of zero, not the default: the Hermiticity
+        # gate falls to TOLS.herm, so a 5e-10 defect is rejected
+        w = trace_one_plane(2)
+        skew = np.array([[0.5, 5e-10j], [0.0, 0.5]])
+        assert w.contains(skew)
+        with pytest.raises(HermiticityError):
+            w.contains(skew, tol=0.0)
 
     def test_inconsistent_constraints(self):
         rows = np.stack([vec_identity(2), 2 * vec_identity(2)])
