@@ -19,7 +19,7 @@ from .errors import (FlatnessError, HermiticityError, InvalidDimensionError,
                      MorphismError, ShapeMismatchError)
 from .hermspace import (AffineSubspace, check_hermitian, coords_to_herm,
                         herm_to_coords, kron_rows, matricize, min_eig,
-                        psd_check, vec_identity)
+                        vec_identity)
 from .tolerances import TOLS
 
 
@@ -200,23 +200,31 @@ def seq_obj(a: CausObject, b: CausObject) -> CausObject:
 
 # -- membership and morphisms -------------------------------------------------
 
+def _gated(mat: np.ndarray, dim: int, tol: float | None) -> tuple[np.ndarray, float, bool]:
+    """Gate a verdict's matrix once, where ``psd_check`` and ``contains`` would
+    (``TOLS.psd == TOLS.sub``); return it, its least eigenvalue and whether it is PSD."""
+    mat = check_hermitian(mat, tol=max(TOLS.herm, TOLS.sub if tol is None else tol))
+    if mat.shape[0] != dim:
+        raise ShapeMismatchError(f"state of dim {mat.shape[0]} offered to type of dim {dim}")
+    low, scale = min_eig(mat), max(float(np.max(np.abs(mat))), 1.0)
+    return mat, low, low >= -(TOLS.psd if tol is None else tol) * scale
+
+
 def member(obj: CausObject, mat: np.ndarray, tol: float | None = None) -> bool:
     """Is ``mat`` a state of ``obj``: positive semidefinite and on the hull."""
-    mat = check_hermitian(mat, tol=max(TOLS.herm, TOLS.sub if tol is None else tol))
-    if mat.shape[0] != obj.dim:
-        raise ShapeMismatchError(
-            f"state of dim {mat.shape[0]} offered to type of dim {obj.dim}")
-    return psd_check(mat, tol) and obj.states.contains(mat, tol)
+    mat, _, psd = _gated(mat, obj.dim, tol)
+    return psd and obj.states.contains_vec(herm_to_coords(mat), tol)
 
 
 def membership_report(obj: CausObject, mat: np.ndarray,
                       tol: float | None = None) -> dict:
-    """The verdict of :func:`member` with the measurements behind it."""
-    verdict = member(obj, mat, tol)
+    """The verdict of :func:`member` with the two measurements that decide it."""
+    mat, low, psd = _gated(mat, obj.dim, tol)
+    x = herm_to_coords(mat)
     return {
-        "member": verdict,
-        "min_eigenvalue": min_eig(mat),
-        "affine_distance": obj.states.distance(herm_to_coords(mat)),
+        "member": psd and obj.states.contains_vec(x, tol),
+        "min_eigenvalue": low,
+        "affine_distance": obj.states.distance(x),
         "first_order": obj.first_order,
         "flat_lambda": obj.flat_lambda,
     }
@@ -274,14 +282,6 @@ def cup_state(d: int) -> np.ndarray:
 
 # -- large-composite membership ----------------------------------------------
 
-def _psd_on_composite(x: np.ndarray, a: CausObject, b: CausObject) -> bool:
-    """Gate ``x`` as a Hermitian matrix on the composite; is it PSD?"""
-    x = check_hermitian(x, tol=max(TOLS.herm, TOLS.sub))
-    if x.shape[0] != a.dim * b.dim:
-        raise ShapeMismatchError("state dimension does not match the composite")
-    return psd_check(x, TOLS.sub)
-
-
 def _pairs_to_one(x: np.ndarray, c: np.ndarray, a: CausObject, b: CausObject) -> bool:
     """Every effect of ``a`` paired with every effect of ``b`` gives one on ``x``.
 
@@ -294,10 +294,11 @@ def _pairs_to_one(x: np.ndarray, c: np.ndarray, a: CausObject, b: CausObject) ->
 
 def par_member(x: np.ndarray, a: CausObject, b: CausObject) -> bool:
     """Membership in the par composite without building the composite type."""
-    if not _psd_on_composite(x, a, b):
+    x, _, psd = _gated(x, a.dim * b.dim, TOLS.sub)
+    if not psd:
         return False
     if a.dim == 1 or b.dim == 1:
-        return (b if a.dim == 1 else a).states.contains(x, TOLS.sub)
+        return (b if a.dim == 1 else a).states.contains_vec(herm_to_coords(x), TOLS.sub)
     return _pairs_to_one(x, matricize(x, a.dim, b.dim), a, b)
 
 
@@ -305,7 +306,8 @@ def seq_member(x: np.ndarray, a: CausObject, b: CausObject) -> bool:
     """Membership in the one-way composite without building the composite type."""
     if b.first_order or a.dim == 1 or b.dim == 1:
         return par_member(x, a, b)
-    if not _psd_on_composite(x, a, b):
+    x, _, psd = _gated(x, a.dim * b.dim, TOLS.sub)
+    if not psd:
         return False
     c = matricize(x, a.dim, b.dim)
     if not _pairs_to_one(x, c, a, b):

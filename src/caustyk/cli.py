@@ -107,14 +107,16 @@ def _cmd_member(args) -> int:
     _, obj = _elab(args.type)
     mat = load_matrix(args.file, args.format)
     try:
-        rep = membership_report(obj, mat, tol=args.tol)
+        # entries near the float limit overflow the measurements, not the verdict
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = membership_report(obj, mat, tol=args.tol)
     except HermiticityError as err:
         _emit({"verdict": False, "reason": "not_hermitian", "detail": str(err)})
         return 1
     _emit({
         "verdict": bool(rep["member"]),
-        "min_eigenvalue": float(rep["min_eigenvalue"]),
-        "affine_distance": float(rep["affine_distance"]),
+        **{k: float(rep[k]) if math.isfinite(rep[k]) else None     # strict JSON
+           for k in ("min_eigenvalue", "affine_distance")},
         "first_order": bool(rep["first_order"]),
         "flat_lambda": float(rep["flat_lambda"]),
     })
@@ -295,14 +297,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(sp, fmt=False):
         sp.add_argument("--tol", type=float, default=None,
-                        help="override the decision tolerance")
+                        help="override the decision tolerance (finite, >= 0)")
         if fmt:
             sp.add_argument("--format", choices=("json", "raw"),
                             default="json", help="matrix file format")
 
     s = sub.add_parser("typeinfo", help="dimensions, ranks, and scalars of a type")
     s.add_argument("type")
-    common(s)
     s.set_defaults(fn=_cmd_typeinfo)
 
     s = sub.add_parser("member", help="is the matrix a state of the type")
@@ -369,6 +370,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if not 0.0 <= (getattr(args, "tol", None) or 0.0) < math.inf:     # unset passes
+            raise ValueError(f"--tol must be a finite number >= 0, got {args.tol!r}")
         code = args.fn(args)
         sys.stdout.flush()
         return code

@@ -8,8 +8,8 @@ here are the numerical bedrock of the package.
 Basis ordering is fixed once and for all: the ``n`` diagonal units first, then
 the symmetric pairs ``(E_ij + E_ji)/sqrt(2)`` for ``i < j`` in lexicographic
 order, then the antisymmetric pairs ``i(E_ji - E_ij)/sqrt(2)`` in the same
-order. No other module knows that order: Kronecker products of coordinates,
-and their transpose, are computed here from one per-entry table.
+order. One cached table per dimension holds it: both conversions, Kronecker
+products of coordinates and their transpose read that table; no other module.
 
 An :class:`AffineSubspace` is held in *span form* (a minimum-norm base point
 plus orthonormal directions) or in *constraint form* (``{x : A x = c}`` with
@@ -69,32 +69,29 @@ def check_hermitian(mat: np.ndarray, tol: float | None = None) -> np.ndarray:
     return mat
 
 
-def herm_to_coords(mats: np.ndarray) -> np.ndarray:
-    """Map Hermitian matrices ``(..., n, n)`` to real coordinates ``(..., n**2)``."""
-    mats = np.asarray(mats, dtype=complex)
-    n = mats.shape[-1]
-    iu, ju = np.triu_indices(n, k=1)
-    diag = np.real(np.diagonal(mats, axis1=-2, axis2=-1))
-    re = _SQRT2 * np.real(mats[..., iu, ju])
-    im = -_SQRT2 * np.imag(mats[..., iu, ju])
-    return np.concatenate([diag, re, im], axis=-1)
-
-
 @functools.lru_cache(maxsize=64)
 def _entry_coords(n: int) -> tuple[np.ndarray, ...]:
-    """``(re_i, re_c, im_i, im_c)``, each ``n x n``: entry ``(i, j)`` of a
-    Hermitian matrix is ``c[re_i] * re_c + 1j * c[im_i] * im_c`` in coordinates ``c``."""
-    k = n * (n - 1) // 2
-    pair = np.zeros((n, n), dtype=int)
+    """The basis table ``(re_i, re_c, im_i, im_c, flat)``: entry ``(i, j)`` of a
+    Hermitian matrix is ``c[re_i] * re_c + 1j * c[im_i] * im_c`` in coordinates
+    ``c``, and ``flat`` indexes, row-major, the entries the coordinates read."""
+    k, idx = n * (n - 1) // 2, np.arange(n)
     iu, ju = np.triu_indices(n, k=1)
-    pair[iu, ju] = pair[ju, iu] = np.arange(k)
-    idx = np.arange(n)
+    flat = np.concatenate([idx * (n + 1), iu * n + ju])
+    re_i = np.zeros((n, n), dtype=int)      # entries (i, j) and (j, i) share a coordinate
+    re_i.flat[flat] = re_i.T.flat[flat] = np.arange(n + k)
     on_diag = idx[:, None] == idx[None, :]
-    re_i = np.where(on_diag, idx[:, None], n + pair)
     re_c = np.where(on_diag, 1.0, 1.0 / _SQRT2)
-    im_i = np.where(on_diag, 0, n + k + pair)
     im_c = np.where(on_diag, 0.0, np.sign(idx[:, None] - idx[None, :]) / _SQRT2)
-    return re_i, re_c, im_i, im_c
+    return re_i, re_c, np.where(on_diag, 0, re_i + k), im_c, flat
+
+
+def herm_to_coords(mats: np.ndarray) -> np.ndarray:
+    """Map Hermitian ``(..., n, n)`` to ``(..., n**2)``; reads the upper triangle."""
+    mats = np.asarray(mats, dtype=complex)
+    n = mats.shape[-1]
+    c = mats.reshape(mats.shape[:-2] + (n * n,))[..., _entry_coords(n)[4]]
+    return np.concatenate(
+        [c[..., :n].real, _SQRT2 * c[..., n:].real, -_SQRT2 * c[..., n:].imag], axis=-1)
 
 
 def coords_to_herm(coords: np.ndarray, n: int) -> np.ndarray:
@@ -103,7 +100,7 @@ def coords_to_herm(coords: np.ndarray, n: int) -> np.ndarray:
     if coords.shape[-1] != n * n:
         raise ShapeMismatchError(
             f"coordinate length {coords.shape[-1]} does not match dimension {n}")
-    re_i, re_c, im_i, im_c = _entry_coords(n)
+    re_i, re_c, im_i, im_c, _ = _entry_coords(n)
     return coords[..., re_i] * re_c + 1j * (coords[..., im_i] * im_c)
 
 
@@ -127,15 +124,12 @@ def _kron_terms(na: int, nb: int) -> tuple[np.ndarray, ...]:
     ``(i1, j1, c1, i2, j2, c2)``, each of length ``(na*nb)**2``.
     """
     d = na * nb
-    iu, ju = np.triu_indices(d, k=1)
-    # product entries (row, col): the diagonal, then each upper pair once;
-    # the symmetric and antisymmetric coordinates of a pair read the same one
-    rows = np.concatenate([np.arange(d), iu])
-    cols = np.concatenate([np.arange(d), ju])
+    # the product entries read; a pair's two coordinates share its upper entry
+    rows, cols = np.divmod(_entry_coords(d)[4], d)
     i, k = np.divmod(rows, nb)
     j, l = np.divmod(cols, nb)
-    xr, xrc, xi, xic = (t[i, j] for t in _entry_coords(na))
-    yr, yrc, yi, yic = (t[k, l] for t in _entry_coords(nb))
+    xr, xrc, xi, xic = (t[i, j] for t in _entry_coords(na)[:4])
+    yr, yrc, yi, yic = (t[k, l] for t in _entry_coords(nb)[:4])
     # diagonal and symmetric coordinates carry Re(x y), antisymmetric -Im(x y)
     scale = np.where(rows == cols, 1.0, _SQRT2)
     re = (xr, yr, scale * xrc * yrc, xi, yi, -scale * xic * yic)

@@ -43,7 +43,7 @@ class Tolerances:
         return self.sub * max(sigma_max, 1.0)
 
 
-_BASE = Tolerances.sub
+_BASE = Tolerances.sub      # fields at the base (psd, sub) scale to CAUSTYK_TOL exactly
 
 
 def _from_env() -> Tolerances:
@@ -57,8 +57,8 @@ def _from_env() -> Tolerances:
     if not (math.isfinite(base) and base > 0):
         raise ValueError(f"CAUSTYK_TOL must be a positive finite number, got {raw!r}")
     s = base / _BASE
-    scaled = {f.name: f.default * s for f in fields(Tolerances)}
-    return Tolerances(**{**scaled, "sub": base})
+    return Tolerances(**{f.name: base if f.default == _BASE else f.default * s
+                         for f in fields(Tolerances)})
 
 
 TOLS = _from_env()

@@ -6,6 +6,7 @@ constructors existed, then frozen.
 """
 
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,8 +20,11 @@ from caustyk.causobj import (CausMorphism, CausObject, check_morphism, choi_of_s
 from caustyk.cpmaps import ChoiMap, choi_of_kraus, permute_factors, structural
 from caustyk.errors import (FlatnessError, HermiticityError, InvalidDimensionError,
                             MorphismError, ShapeMismatchError)
-from caustyk.hermspace import AffineSubspace, coords_to_herm, herm_to_coords
-from caustyk.sampling import random_object
+from caustyk import hermspace
+from caustyk.hermspace import (AffineSubspace, check_hermitian, coords_to_herm,
+                               herm_to_coords, min_eig, psd_check)
+from caustyk.sampling import random_object, sample_member
+from caustyk.tolerances import TOLS
 
 
 def random_cptp(rng, din, dout, env=None):
@@ -114,7 +118,7 @@ class TestAtoms:
         fo = mk_first_order(2)
         skew = np.array([[0.5, 5e-10j], [0.0, 0.5]])
         assert member(fo, skew)
-        monkeypatch.setattr("caustyk.causobj.psd_check",
+        monkeypatch.setattr("caustyk.causobj.min_eig",
                             lambda *args: pytest.fail("member's gate let it through"))
         with pytest.raises(HermiticityError):
             member(fo, skew, tol=0.0)
@@ -599,3 +603,118 @@ class TestBridges:
         assert rep["affine_distance"] < 1e-9
         assert rep["min_eigenvalue"] > -1e-12
         assert not rep["first_order"]
+
+
+def member_oracle(obj, mat, tol=None):
+    """Membership as it was composed before one gate served the whole verdict:
+    member's gate, then psd_check and AffineSubspace.contains with their own."""
+    mat = check_hermitian(mat, tol=max(TOLS.herm, TOLS.sub if tol is None else tol))
+    if mat.shape[0] != obj.dim:
+        raise ShapeMismatchError("dimension")
+    return psd_check(mat, tol) and obj.states.contains(mat, tol)
+
+
+def verdict(fn, *args):
+    try:
+        return fn(*args)
+    except HermiticityError:
+        return "not_hermitian"
+
+
+class TestOneGate:
+    """Each membership verdict gates, diagonalises and encodes its matrix once."""
+
+    TOLS_GRID = [None, 0.0, 1e-6, 1e-12]
+
+    @pytest.fixture(scope="class")
+    def types(self):
+        fo2, chan = mk_first_order(2), hom_obj(mk_first_order(2), mk_first_order(2))
+        return [fo2, mk_first_order(3), mk_classical(3), chan, seq_obj(chan, chan),
+                par_obj(chan, chan), tensor_obj(chan, fo2)]
+
+    def inputs(self, rng, obj, tol):
+        """Members, jittered members, Hermiticity defects near the gate, random
+        densities, and hull points whose least eigenvalue sits near the PSD floor."""
+        d = obj.dim
+        gate = max(TOLS.herm, TOLS.sub if tol is None else tol)
+        m = sample_member(obj, rng)
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        h = (g + g.conj().T) / 2
+        yield m
+        for eps in (1e-13, 1e-10, 1e-8):
+            yield m + eps * h
+        scale = max(float(np.max(np.abs(m))), 1.0)
+        for f in (0.5, 0.999, 1.001, 2.0):
+            skew = m.astype(complex)
+            skew[0, d - 1] += 1j * f * gate * scale
+            yield skew
+        yield random_density(rng, d)
+        # on the hull, with the least eigenvalue at -delta: bisect the segment
+        # from the member towards a far hull point
+        far = coords_to_herm(obj.states.project_vec(herm_to_coords(10 * h)), d)
+        for delta in (1e-13, 1e-9, 1e-6):
+            lo, hi = 0.0, 1.0
+            for _ in range(60):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if min_eig(m + mid * (far - m)) > -delta else (lo, mid)
+            yield m + hi * (far - m)
+
+    def test_member_agrees_with_oracle(self, types):
+        rng = np.random.default_rng(2026)
+        seen = set()
+        for obj in types:
+            for tol in self.TOLS_GRID:
+                for _ in range(3):
+                    for mat in self.inputs(rng, obj, tol):
+                        want = verdict(member_oracle, obj, mat, tol)
+                        assert verdict(member, obj, mat, tol) == want, (obj, tol)
+                        assert verdict(lambda *a: membership_report(*a)["member"],
+                                       obj, mat, tol) == want, (obj, tol)
+                        seen.add(want)
+        assert seen == {True, False, "not_hermitian"}
+
+    def test_report_measures_what_decides(self, types):
+        rng = np.random.default_rng(17)
+        for obj in types:
+            for mat in (sample_member(obj, rng), random_density(rng, obj.dim)):
+                rep = membership_report(obj, mat)
+                assert rep["min_eigenvalue"] == min_eig(mat)
+                assert rep["affine_distance"] == obj.states.distance(herm_to_coords(mat))
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = Counter()
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in ("check_hermitian", "herm_to_coords"):
+            wrapped = counting(name, getattr(hermspace, name))
+            for module in ("caustyk.causobj", "caustyk.hermspace"):
+                monkeypatch.setattr(f"{module}.{name}", wrapped)
+        monkeypatch.setattr("numpy.linalg.eigvalsh",
+                            counting("eigvalsh", np.linalg.eigvalsh))
+        return counts
+
+    def test_one_pass_per_matrix(self, types, calls):
+        rng = np.random.default_rng(5)
+        chan, s = types[3], types[4]
+        good = sample_member(s, rng)
+        w, v = np.linalg.eigh(good)
+        bad = good - 2 * w[-1] * np.outer(v[:, -1], v[:, -1].conj())
+        calls.clear()
+        for mat in (good, bad):
+            member(s, mat)
+            assert calls["check_hermitian"] == calls["eigvalsh"] == 1
+            assert calls["herm_to_coords"] <= 1
+            calls.clear()
+            membership_report(s, mat)
+            assert calls == {"check_hermitian": 1, "eigvalsh": 1, "herm_to_coords": 1}
+            calls.clear()
+            for fn in (par_member, seq_member):
+                fn(mat, chan, chan)
+                assert calls["check_hermitian"] == calls["eigvalsh"] == 1
+                calls.clear()

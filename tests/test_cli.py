@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -223,6 +224,23 @@ class TestMember:
         code, doc = run(capsys, "member", "[FO(2),FO(2)]", str(path),
                         "--format", "raw")
         assert code == 0 and doc["verdict"] is True
+
+    def test_overflowing_measurements_print_null(self, capsys, tmp_path):
+        # the verdict stands; the measurements that overflow are not numbers
+        path = tmp_path / "big.json"
+        save_matrix(str(path), np.diag([1e308, 1e308]).astype(complex))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")     # a process prints these on stderr
+            code = main(["member", "FO(2)", str(path)])
+        out, err = capsys.readouterr()
+
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        doc = json.loads(out, parse_constant=reject)
+        assert code == 1 and err == "" and caught == []
+        assert doc["verdict"] is False
+        assert doc["min_eigenvalue"] is None and doc["affine_distance"] is None
 
     def test_exit_mirrors_verdict(self, capsys, tmp_path, rng):
         for i in range(4):
@@ -605,6 +623,37 @@ class TestUsage:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.splitlines()[-1] == "[0, 0, 0] False"
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_tolerance_must_be_finite_and_non_negative(self, capsys, tmp_path, tol):
+        # a valid state and a valid channel, so any verdict would be an answer
+        state, chan = tmp_path / "half.json", tmp_path / "c.json"
+        save_matrix(str(state), np.eye(2, dtype=complex) / 2)
+        save_choi(str(chan), identity_choi())
+        for argv in (["member", "FO(2)", str(state)],
+                     ["morphism", "FO(2)", "FO(2)", str(chan)]):
+            code = main(argv + ["--tol", tol])
+            out, err = capsys.readouterr()
+            assert code == 2 and out == ""
+            assert err.startswith("error: --tol") and err.count("\n") == 1
+        assert main(["member", "FO(2)", str(state), "--tol", "0"]) == 0
+
+    def test_typeinfo_takes_no_tolerance(self, capsys):
+        assert main(["typeinfo", "FO(2)", "--tol", "1"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_tolerance_env_keeps_psd_equal_to_sub(self):
+        # one Hermiticity gate serves a membership verdict because the PSD
+        # floor and the hull tolerance are the same number; 3e-9 / 1e-9 * 1e-9
+        # is not 3e-9, so the pack must not reach psd through the ratio
+        src = str(Path(caustyk.__file__).resolve().parent.parent)
+        env = dict(os.environ, CAUSTYK_TOL="3e-9", PYTHONPATH=src)
+        script = ("from caustyk.tolerances import TOLS\n"
+                  "print(TOLS.psd == TOLS.sub == 3e-9)\n")
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "True"
 
     def test_no_arguments(self, capsys):
         assert main([]) == 2

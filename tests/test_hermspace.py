@@ -65,6 +65,17 @@ def slow_coords(mat):
     return np.array([np.trace(b.conj().T @ mat).real for b in slow_basis(n)])
 
 
+def triu_coords(mats):
+    """The coordinate map as two fancy-indexed reads of the upper triangle."""
+    mats = np.asarray(mats, dtype=complex)
+    n = mats.shape[-1]
+    iu, ju = np.triu_indices(n, k=1)
+    diag = np.real(np.diagonal(mats, axis1=-2, axis2=-1))
+    re = np.sqrt(2.0) * np.real(mats[..., iu, ju])
+    im = -np.sqrt(2.0) * np.imag(mats[..., iu, ju])
+    return np.concatenate([diag, re, im], axis=-1)
+
+
 def random_herm(rng, n, scale=1.0):
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return (a + a.conj().T) * (scale / 2)
@@ -86,6 +97,19 @@ class TestCoordinateMap:
         gram = np.array([[np.trace(a.conj().T @ b).real for b in basis]
                          for a in basis])
         np.testing.assert_allclose(gram, np.eye(n * n), atol=1e-12)
+
+    @pytest.mark.parametrize("n", [*range(1, 10), 16])
+    def test_gather_matches_triu_reference(self, n):
+        # exact, not to rounding: one gather through the basis table reads
+        # the same entries and scales them the same way; a non-Hermitian
+        # input shows that only the diagonal and upper triangle are read
+        rng = np.random.default_rng(n)
+        g = rng.standard_normal((3, 4, n, n)) + 1j * rng.standard_normal((3, 4, n, n))
+        for mats in (g, g[0, 0], g.real, g[0, 0].real, random_herm(rng, n),
+                     np.swapaxes(g, -1, -2)):
+            got, want = herm_to_coords(mats), triu_coords(mats)
+            assert got.shape == want.shape == mats.shape[:-2] + (n * n,)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_round_trip(self):
         rng = np.random.default_rng(3)
@@ -151,22 +175,23 @@ class TestKronecker:
         np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12)
 
     def test_only_hermspace_spells_the_basis(self):
-        # the basis order and its sqrt(2) scaling live in one module; the
-        # others go through the conversions and kron_rows/matricize
-        offenders = []
+        # the basis order and its sqrt(2) scaling live in one module, and
+        # within it in one table; the others go through the conversions and
+        # kron_rows/matricize
+        offenders, table_sites = [], []
         for path in sorted(Path(caustyk.__file__).parent.glob("*.py")):
-            if path.name == "hermspace.py":
-                continue
             text = path.read_text()
-            if "sqrt(2" in text:
+            own = path.name == "hermspace.py"
+            if "sqrt(2" in text and not own:
                 offenders.append(f"{path.name}: sqrt(2")
             for node in ast.walk(ast.parse(text)):
                 if isinstance(node, ast.Call):
                     f = node.func
                     name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
                     if name == "triu_indices":
-                        offenders.append(f"{path.name}:{node.lineno}")
+                        (table_sites if own else offenders).append(f"{path.name}:{node.lineno}")
         assert offenders == []
+        assert len(table_sites) == 1, table_sites
 
 
 class TestPsd:
