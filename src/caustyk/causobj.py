@@ -19,7 +19,7 @@ from .errors import (FlatnessError, HermiticityError, InvalidDimensionError,
                      MorphismError, ShapeMismatchError)
 from .hermspace import (AffineSubspace, check_hermitian, coords_to_herm,
                         herm_to_coords, kron_rows, matricize, min_eig,
-                        vec_identity)
+                        psd_test, vec_identity)
 from .tolerances import TOLS
 
 
@@ -179,23 +179,30 @@ def hom_obj(a: CausObject, b: CausObject) -> CausObject:
 def seq_obj(a: CausObject, b: CausObject) -> CausObject:
     """One-way composite: b may depend on a but cannot influence it.
 
-    Cut out of the par hull by linear slice conditions: contracting the
-    second block with any effect direction of ``b`` must give zero. The
-    slice rows are stacked onto the par hull's constraint rows and solved
-    once, so the hull stays in constraint form.
+    In closed form, ``A < B = {x in Herm(A) (x) V_B : (id (x) e0_B) x in aff(A)}``
+    with ``V_B`` the span of ``b``'s states and ``e0_B`` the min-norm effect
+    of ``b``. Two blocks of constraint rows say so: the slice rows
+    ``1 (x) Db`` (``Db`` the effect directions of ``b``, which span the
+    complement of ``V_B``) with value 0, and the marginal rows
+    ``cons_A (x) e0_B/|e0_B|`` with values ``vals_A/|e0_B|``. Both blocks are
+    orthonormal and, as ``e0_B`` is orthogonal to ``Db``, orthogonal to each
+    other, so the rank is ``a.dim**2 * rank_B + rank_A`` with no rank
+    decision to make.
     """
     lab = f"({a.label}<{b.label})"
-    p = par_obj(a, b)
     if b.first_order or a.dim == 1 or b.dim == 1:
         # no effect directions to test; the composite collapses to par
+        p = par_obj(a, b)
         return CausObject(p.factor_dims, p.states, effects=p._effects, label=lab)
     eff = b.effects
-    pcons, pvals = p.states.cons_rows()
-    dirs = kron_rows(np.eye(a.dim * a.dim), eff.dirs_coords(), a.dim, b.dim)
-    rows = np.vstack([pcons, dirs])
-    vals = np.concatenate([pvals, np.zeros(dirs.shape[0])])
-    states = AffineSubspace.from_constraints(p.dim, rows, vals)
-    return CausObject(p.factor_dims, states, label=lab)
+    e0 = eff.base_vec()
+    n0 = float(np.linalg.norm(e0))
+    acons, avals = a.states.cons_rows()
+    slices = kron_rows(np.eye(a.dim * a.dim), eff.dirs_coords(), a.dim, b.dim)
+    rows = np.vstack([slices, kron_rows(acons, (e0 / n0)[None, :], a.dim, b.dim)])
+    vals = np.concatenate([np.zeros(len(slices)), avals / n0])
+    states = AffineSubspace(a.dim * b.dim, cons=rows, vals=vals)
+    return CausObject(a.factor_dims + b.factor_dims, states, label=lab)
 
 
 # -- membership and morphisms -------------------------------------------------
@@ -206,8 +213,7 @@ def _gated(mat: np.ndarray, dim: int, tol: float | None) -> tuple[np.ndarray, fl
     mat = check_hermitian(mat, tol=max(TOLS.herm, TOLS.sub if tol is None else tol))
     if mat.shape[0] != dim:
         raise ShapeMismatchError(f"state of dim {mat.shape[0]} offered to type of dim {dim}")
-    low, scale = min_eig(mat), max(float(np.max(np.abs(mat))), 1.0)
-    return mat, low, low >= -(TOLS.psd if tol is None else tol) * scale
+    return (mat, *psd_test(mat, tol))
 
 
 def member(obj: CausObject, mat: np.ndarray, tol: float | None = None) -> bool:
@@ -230,6 +236,8 @@ def membership_report(obj: CausObject, mat: np.ndarray,
     }
 
 
+# entries near the float limit overflow the measurements, not the verdict
+@np.errstate(over="ignore", invalid="ignore")
 def check_morphism(f: ChoiMap, a: CausObject, b: CausObject,
                    tol: float | None = None) -> CausMorphism:
     """Validate ``f`` as a map of types; each kind of failure reports separately."""
@@ -267,7 +275,7 @@ def check_morphism(f: ChoiMap, a: CausObject, b: CausObject,
     dists = b.states.distances(coords)
     scales = np.maximum(1.0, np.linalg.norm(coords, axis=1))
     worst = float(np.max(dists / scales)) if dists.size else 0.0
-    if worst > tol:
+    if not worst <= tol:            # an overflow to NaN fails too
         raise MorphismError(
             f"map sends some source states off the target hull "
             f"(worst relative distance {worst:.3e})",

@@ -130,8 +130,9 @@ def _cmd_morphism(args) -> int:
     try:
         check_morphism(cm, src, tgt, tol=args.tol)
     except MorphismError as err:
+        r = float(err.residual)
         _emit({"verdict": False, "reason": err.reason,
-               "residual": float(err.residual)})
+               "residual": r if math.isfinite(r) else None})     # strict JSON
         return 1
     _emit({"verdict": True, "source": print_type(parse_type(args.source)),
            "target": print_type(parse_type(args.target))})

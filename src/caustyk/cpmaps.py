@@ -31,7 +31,7 @@ from .errors import (
     ShadowNotFoundError,
     ShapeMismatchError,
 )
-from .hermspace import check_hermitian, min_eig, psd_check
+from .hermspace import check_hermitian, min_eig, psd_check, psd_test
 from .tolerances import TOLS
 
 
@@ -121,9 +121,10 @@ class ChoiMap:
                 f"in={self.in_dims}")
         if validate:
             J = check_hermitian(J)
-            if not psd_check(J):
+            low, psd = psd_test(J)
+            if not psd:
                 raise InconsistencyError(
-                    f"Choi matrix is not PSD within tolerance (min eig {min_eig(J):.3e}); "
+                    f"Choi matrix is not PSD within tolerance (min eig {low:.3e}); "
                     "pass validate=False for non-CP candidates")
         self.J = J
 
@@ -477,7 +478,7 @@ def ctrl(states) -> ChoiMap:
     if any(s.shape != (d, d) for s in states):
         raise ShapeMismatchError("branch states must share one dimension")
     for i, s in enumerate(states):
-        if not psd_check(s) or abs(np.trace(s).real - 1.0) > TOLS.roundtrip * d:
+        if not psd_test(s)[1] or abs(np.trace(s).real - 1.0) > TOLS.roundtrip * d:
             raise InconsistencyError(f"branch {i} is not a density matrix")
     n = len(states)
     J = np.zeros((d * n, d * n), dtype=complex)

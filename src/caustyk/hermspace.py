@@ -22,9 +22,9 @@ Both conversions, and the dual of a constraint form, take the orthogonal
 complement of ``k`` orthonormal rows in ``m`` coordinates. Three cases are
 closed form: no rows (the identity), all ``m`` rows (empty), and one row, such
 as a first-order type's trace row or the value vector the dual completes (a
-Householder reflector). Only ``1 < k < m`` goes to ``scipy.linalg.null_space``;
-scipy is imported on that first call, so code that never needs one never
-loads it.
+Householder reflector). A general ``1 < k < m`` is the tail of a complete
+numpy QR of the rows' transpose; as the rows are orthonormal, no rank is
+decided. numpy is the package's only dependency.
 """
 
 from __future__ import annotations
@@ -172,12 +172,18 @@ def min_eig(mat: np.ndarray) -> float:
     return float(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)[0])
 
 
+def psd_test(mat: np.ndarray, tol: float | None = None) -> tuple[float, bool]:
+    """Least eigenvalue of a gated Hermitian matrix, and whether it clears
+    ``-tol * max(max|mat|, 1)`` (``tol`` defaults to ``TOLS.psd``)."""
+    tol = TOLS.psd if tol is None else tol
+    low = min_eig(mat)
+    return low, low >= -tol * max(float(np.max(np.abs(mat))) if mat.size else 0.0, 1.0)
+
+
 def psd_check(mat: np.ndarray, tol: float | None = None) -> bool:
     """Whether the matrix is positive semidefinite within tolerance."""
     tol = TOLS.psd if tol is None else tol
-    mat = check_hermitian(mat, tol=max(tol, TOLS.herm))
-    scale = max(float(np.max(np.abs(mat))) if mat.size else 0.0, 1.0)
-    return min_eig(mat) >= -tol * scale
+    return psd_test(check_hermitian(mat, tol=max(tol, TOLS.herm)), tol)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +205,9 @@ def _complement(rows: np.ndarray, m: int) -> np.ndarray:
 
     The input rows are orthonormal, so the complement has exactly
     ``m - k`` rows and no rank is decided here. One row is completed by a
-    Householder reflector built in one ``m x m`` array; only a general
-    ``1 < k < m`` goes to ``scipy.linalg.null_space``.
+    Householder reflector built in one ``m x m`` array; a general
+    ``1 < k < m`` takes the last ``m - k`` columns of a complete QR of the
+    rows' transpose.
     """
     k = rows.shape[0]
     if k == 0:
@@ -215,8 +222,7 @@ def _complement(rows: np.ndarray, m: int) -> np.ndarray:
         h = np.outer(v * (-2.0 / (v @ v)), v)
         h.reshape(-1)[::m + 1] += 1.0
         return h[1:]
-    import scipy.linalg     # only here: loading it costs most of a cold start
-    return scipy.linalg.null_space(rows).T
+    return np.linalg.qr(rows.T, mode="complete")[0][:, k:].T
 
 
 # ---------------------------------------------------------------------------

@@ -384,6 +384,49 @@ class TestClosedForms:
             cut += 1
         assert cut >= 100
 
+    def test_seq_rank_closed_form(self, type_pairs):
+        for a, b in type_pairs:
+            if b.first_order:
+                continue
+            want = a.dim * a.dim * b.states.rank() + a.states.rank()
+            assert seq_obj(a, b).states.rank() == want, (a.label, b.label)
+
+    def test_seq_rows_orthonormal(self, type_pairs):
+        for a, b in type_pairs:
+            if b.first_order:
+                continue
+            rows, _ = seq_obj(a, b).states.cons_rows()
+            gram = rows @ rows.T
+            assert np.max(np.abs(gram - np.eye(len(gram))), initial=0.0) <= 1e-10, \
+                (a.label, b.label)
+
+    def test_seq_builds_without_a_factorization(self, type_pairs, monkeypatch):
+        # outside the collapse branch the two row blocks are the hull as they
+        # stand: no par type, no constraint solve, no SVD
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        build = AffineSubspace.from_constraints.__func__
+        monkeypatch.setattr(AffineSubspace, "from_constraints",
+                            classmethod(counted("from_constraints", build)))
+        monkeypatch.setattr("caustyk.causobj.par_obj",
+                            counted("par_obj", par_obj))
+        monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+        for a, b in type_pairs:
+            if not b.first_order:
+                seq_obj(a, b)
+        assert calls == Counter()
+        collapsed = [(a, b) for a, b in type_pairs if b.first_order]
+        assert collapsed
+        for a, b in collapsed:
+            seq_obj(a, b)
+        assert calls["par_obj"] == len(collapsed)
+
     def test_grid_limit_refuses_before_allocating(self):
         fo = mk_first_order(23)             # 529 x 529 product points > 250,000
         tracemalloc.start()

@@ -282,6 +282,24 @@ class TestMorphism:
         code, doc = run(capsys, "morphism", "FO(2)", "FO(2)", str(path))
         assert code == 1 and doc["reason"] == "hermiticity"
 
+    def test_overflowing_channel_fails_affine(self, capsys, tmp_path):
+        # the scaled identity is CP but not trace preserving; its push
+        # overflows to NaN, which must fail the hull test, not slip past it
+        path = tmp_path / "big.json"
+        save_choi(str(path), ChoiMap((2,), (2,), 1e308 * cup_state(2).astype(complex),
+                                     validate=False))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")     # a process prints these on stderr
+            code = main(["morphism", "FO(2)", "FO(2)", str(path)])
+        out, err = capsys.readouterr()
+
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        doc = json.loads(out, parse_constant=reject)
+        assert code == 1 and err == "" and caught == []
+        assert doc["verdict"] is False and doc["reason"] == "affine"
+
 
 HOMS = "[FO(2),FO(2)]"
 
@@ -605,15 +623,18 @@ class TestUsage:
             assert value == pytest.approx(10 * default, rel=1e-12), name
 
     def test_cold_verbs_leave_scipy_unloaded(self, tmp_path, rng):
-        # one-row and full-rank complements are closed form, so these
-        # verbs never import scipy (most of a cold start's import time)
+        # complements are closed form or a numpy QR, so no verb imports
+        # scipy (most of a cold start's import time)
         cm = recompose(random_decomp_pair(rng, 2, 2))
-        state, chan = tmp_path / "state.json", tmp_path / "chan.json"
+        state, chan, ident = (tmp_path / f"{n}.json" for n in ("state", "chan", "ident"))
         save_matrix(str(state), party_name(cm, 1, 1))
         save_choi(str(chan), cm)
+        save_choi(str(ident), identity_choi())
         seq = f"{HOMS}<{HOMS}"
         verbs = [["typeinfo", seq], ["member", seq, str(state)],
-                 ["decompose", seq, str(chan)]]
+                 ["decompose", seq, str(chan)],
+                 ["morphism", "FO(2)", "FO(2)", str(ident)],
+                 ["laws", "--budget", "1", "--seed", "5"]]
         script = ("import sys\nfrom caustyk.cli import main\n"
                   f"codes = [main(argv) for argv in {verbs!r}]\n"
                   "print(codes, 'scipy' in sys.modules, file=sys.stderr)\n")
@@ -622,7 +643,7 @@ class TestUsage:
                               env=dict(os.environ, PYTHONPATH=src),
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stderr.splitlines()[-1] == "[0, 0, 0] False"
+        assert proc.stderr.splitlines()[-1] == "[0, 0, 0, 0, 0] False"
 
     @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
     def test_tolerance_must_be_finite_and_non_negative(self, capsys, tmp_path, tol):

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 import caustyk
-from caustyk.causobj import mk_classical
+from caustyk import cpmaps, hermspace
+from caustyk.causobj import cup_state, mk_classical
 from caustyk.cpmaps import (
     ChoiMap,
     Isometry,
@@ -235,6 +236,23 @@ def test_signalling_sits_below_the_type_layer():
     assert imported & {"causobj", "embedding", "sampling"} == set()
 
 
+def _count_gate_and_spectrum(monkeypatch) -> dict:
+    """Count the Hermiticity gates and the spectra that numpy computes."""
+    calls = {"check_hermitian": 0, "eigvalsh": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    gate = counted("check_hermitian", hermspace.check_hermitian)
+    for module in (cpmaps, hermspace):      # psd_check gates through hermspace's
+        monkeypatch.setattr(module, "check_hermitian", gate)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    return calls
+
+
 class TestChoiForms:
     def test_kraus_oracle_upper_units(self):
         # rho -> |0><0| rho |0><0| + |0><1| rho |1><0| maps everything onto |0><0|
@@ -277,6 +295,14 @@ class TestChoiForms:
     def test_shape_validation(self):
         with pytest.raises(ShapeMismatchError):
             ChoiMap((2,), (2,), np.eye(3))
+
+    def test_validation_gates_and_diagonalises_once(self, monkeypatch):
+        # one Hermiticity gate and one spectrum decide and report a non-PSD J
+        bad = -cup_state(2)
+        calls = _count_gate_and_spectrum(monkeypatch)
+        with pytest.raises(InconsistencyError, match="min eig -2"):
+            ChoiMap((2,), (2,), bad)
+        assert calls == {"check_hermitian": 1, "eigvalsh": 1}
 
 
 class TestComposition:
@@ -523,6 +549,12 @@ class TestCtrl:
             ctrl([np.diag([2.0, 0.0])])
         with pytest.raises(InvalidDimensionError):
             ctrl([])
+
+    def test_branches_gated_and_diagonalised_once(self, monkeypatch):
+        branches = [np.diag([1.0, 0.0]), np.full((2, 2), 0.5), np.eye(2) / 2]
+        calls = _count_gate_and_spectrum(monkeypatch)
+        ctrl(branches)
+        assert calls == {"check_hermitian": 3, "eigvalsh": 3}
 
     def test_classical_object(self):
         # the control register of ctrl is the classical type CLA(n)

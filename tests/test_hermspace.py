@@ -10,7 +10,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -432,5 +431,21 @@ def test_complement_property(m, case, seed):
     assert out.shape == (m - k, m)
     np.testing.assert_allclose(out @ out.T, np.eye(m - k), atol=1e-12)
     np.testing.assert_allclose(out @ rows.T, np.zeros((m - k, k)), atol=1e-12)
-    ref = scipy.linalg.null_space(rows)
-    np.testing.assert_allclose(out.T @ out, ref @ ref.T, atol=1e-12)
+    # the projector onto the complement of orthonormal rows
+    np.testing.assert_allclose(out.T @ out, np.eye(m) - rows.T @ rows, atol=1e-12)
+
+
+def test_no_module_imports_scipy():
+    # complements are closed form or a numpy QR; numpy is the only dependency
+    offenders = []
+    for path in sorted(Path(caustyk.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n == "scipy" or n.startswith("scipy.") for n in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
