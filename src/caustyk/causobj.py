@@ -134,14 +134,38 @@ def dual_obj(a: CausObject) -> CausObject:
 _GRID_LIMIT = 250_000
 
 
+def _kron_stack(blocks, na: int, nb: int) -> np.ndarray:
+    """The rows of each ``(left, right)`` block of :func:`kron_rows`, stacked
+    in one preallocated array; ``None`` is a factor's whole basis."""
+    sizes = [(na * na if left is None else len(left)) * (nb * nb if right is None else len(right))
+             for left, right in blocks]
+    rows = np.zeros((sum(sizes), (na * nb) ** 2))
+    at = 0
+    for (left, right), n in zip(blocks, sizes):
+        if n:
+            kron_rows(left, right, na, nb, out=rows[at:at + n])
+        at += n
+    return rows
+
+
 def tensor_obj(a: CausObject, b: CausObject) -> CausObject:
     """Product type: the affine hull of products of states, in closed form.
 
     With min-norm bases ``ba``, ``bb`` orthogonal to orthonormal directions
     ``Da``, ``Db``, the hull is ``ba(x)bb + span{a^(x)Db, Da(x)b^, Da(x)Db}``
-    where ``a^ = ba/|ba|`` and ``b^ = bb/|bb|``. Under the Hilbert-Schmidt
-    product these rows are orthonormal and orthogonal to the base, so the
-    rank is ``ra*rb + ra + rb`` with no rank decision to make.
+    where ``a^ = ba/|ba|`` and ``b^ = bb/|bb|``. Its linear span is
+    ``Ua (x) Ub`` with ``Ua = [a^; Da]`` the frame of ``a``'s span, so the
+    constraint form is closed form too: the row ``a^(x)b^`` with value
+    ``|ba||bb|``, then ``D*a (x) Herm(B)`` and ``Ua (x) D*b`` with value 0,
+    where ``D*`` are a factor's effect directions, the complement of its
+    ``U``. Under the Hilbert-Schmidt product either set of rows is
+    orthonormal, so the rank is ``ra*rb + ra + rb`` with no rank decision
+    to make. The span form has ``(ra+1)(rb+1)`` rows and the constraint form
+    ``m - (ra+1)(rb+1) + 1`` of the product's ``m`` coordinates; whichever is
+    smaller is built, and the other is derived only if asked for. The
+    constraint rows take ``U`` from a factor that holds its span form,
+    mirroring the blocks (``Herm(A) (x) D*b``, ``D*a (x) Ub``) if only ``b``
+    does, so every complement taken is at factor size.
     """
     lab = f"({a.label}*{b.label})"
     if a.dim == 1:
@@ -154,9 +178,22 @@ def tensor_obj(a: CausObject, b: CausObject) -> CausObject:
             f"product grid of {ra + 1} x {rb + 1} points is too large")
     ba, bb = a.states.base_vec(), b.states.base_vec()
     na, nb = float(np.linalg.norm(ba)), float(np.linalg.norm(bb))
-    rows = kron_rows(np.vstack([ba / na, a.states.dirs_coords()]),
-                      np.vstack([bb / nb, b.states.dirs_coords()]), a.dim, b.dim)
-    states = AffineSubspace(a.dim * b.dim, base=na * nb * rows[0], dirs=rows[1:])
+    ah, bh = ba / na, bb / nb
+    d = a.dim * b.dim
+    if 2 * (ra + 1) * (rb + 1) <= d * d:
+        rows = kron_rows(np.vstack([ah, a.states.dirs_coords()]),
+                         np.vstack([bh, b.states.dirs_coords()]), a.dim, b.dim)
+        states = AffineSubspace(d, base=na * nb * rows[0], dirs=rows[1:])
+    else:
+        ea, eb = a.effects.dirs_coords(), b.effects.dirs_coords()
+        if b.states.holds_span and not a.states.holds_span:
+            blocks = [(None, eb), (ea, np.vstack([bh, b.states.dirs_coords()]))]
+        else:
+            blocks = [(ea, None), (np.vstack([ah, a.states.dirs_coords()]), eb)]
+        rows = _kron_stack([(ah[None, :], bh[None, :])] + blocks, a.dim, b.dim)
+        vals = np.zeros(len(rows))
+        vals[0] = na * nb
+        states = AffineSubspace(d, cons=rows, vals=vals)
     return CausObject(a.factor_dims + b.factor_dims, states, label=lab)
 
 
@@ -198,9 +235,10 @@ def seq_obj(a: CausObject, b: CausObject) -> CausObject:
     e0 = eff.base_vec()
     n0 = float(np.linalg.norm(e0))
     acons, avals = a.states.cons_rows()
-    slices = kron_rows(np.eye(a.dim * a.dim), eff.dirs_coords(), a.dim, b.dim)
-    rows = np.vstack([slices, kron_rows(acons, (e0 / n0)[None, :], a.dim, b.dim)])
-    vals = np.concatenate([np.zeros(len(slices)), avals / n0])
+    rows = _kron_stack([(None, eff.dirs_coords()), (acons, (e0 / n0)[None, :])],
+                       a.dim, b.dim)
+    vals = np.zeros(len(rows))
+    vals[len(rows) - len(avals):] = avals / n0
     states = AffineSubspace(a.dim * b.dim, cons=rows, vals=vals)
     return CausObject(a.factor_dims + b.factor_dims, states, label=lab)
 
@@ -242,10 +280,11 @@ def check_morphism(f: ChoiMap, a: CausObject, b: CausObject,
                    tol: float | None = None) -> CausMorphism:
     """Validate ``f`` as a map of types; each kind of failure reports separately."""
     tol = TOLS.sub if tol is None else tol
+    adj = f.J.conj().T          # the one adjoint: both gates below read it
     try:
-        check_hermitian(f.J, tol=max(TOLS.herm, tol))
+        check_hermitian(f.J, tol=max(TOLS.herm, tol), adjoint=adj)
     except HermiticityError as err:
-        defect = float(np.max(np.abs(f.J - f.J.conj().T)))
+        defect = float(np.max(np.abs(f.J - adj)))
         raise MorphismError(f"map is not Hermiticity preserving: {err}",
                             reason="hermiticity", residual=defect) from None
     if f.d_in != a.dim or f.d_out != b.dim:
@@ -254,9 +293,12 @@ def check_morphism(f: ChoiMap, a: CausObject, b: CausObject,
     floor = max(TOLS.psd, tol) * max(1.0, float(np.linalg.norm(f.J)))
     # a Cholesky factor of H + floor I proves min eig(H) >= -floor for the
     # Hermitian part H that min_eig reads (cholesky sees one triangle only);
-    # the spectrum is computed only to decide and report a map that fails it
-    h = f.J + f.J.conj().T
-    h /= 2.0
+    # the spectrum is computed only to decide and report a map that fails it;
+    # each half is taken before the sum, so no entry overflows in it
+    h = f.J / 2.0
+    adj /= 2.0
+    h += adj
+    del adj
     h.reshape(-1)[::len(h) + 1] += floor
     try:
         np.linalg.cholesky(h)
@@ -296,8 +338,8 @@ def _pairs_to_one(x: np.ndarray, c: np.ndarray, a: CausObject, b: CausObject) ->
     ``c`` is ``matricize(x, a.dim, b.dim)``, so the pairings are one product.
     """
     pair = a.effects.affine_points() @ c @ b.effects.affine_points().T
-    scale = max(1.0, float(np.linalg.norm(x)))
-    return float(np.max(np.abs(pair - 1.0))) <= TOLS.sub * scale
+    bound = TOLS.sub * max(1.0, float(np.linalg.norm(x)))
+    return bound < np.inf and float(np.max(np.abs(pair - 1.0))) <= bound
 
 
 def par_member(x: np.ndarray, a: CausObject, b: CausObject) -> bool:

@@ -8,8 +8,9 @@ here are the numerical bedrock of the package.
 Basis ordering is fixed once and for all: the ``n`` diagonal units first, then
 the symmetric pairs ``(E_ij + E_ji)/sqrt(2)`` for ``i < j`` in lexicographic
 order, then the antisymmetric pairs ``i(E_ji - E_ij)/sqrt(2)`` in the same
-order. One cached table per dimension holds it: both conversions, Kronecker
-products of coordinates and their transpose read that table; no other module.
+order. Two cached tables per dimension hold it, the entries the coordinates
+read and each entry's coefficients: both conversions, Kronecker products of
+coordinates and their transpose read them; no other module.
 
 An :class:`AffineSubspace` is held in *span form* (a minimum-norm base point
 plus orthonormal directions) or in *constraint form* (``{x : A x = c}`` with
@@ -17,6 +18,15 @@ orthonormal rows), whichever its construction produced. The dual of a span
 form is a constraint form and vice versa, so iterated duals never materialize
 a near-full-rank basis; conversion between the two forms of the *same*
 subspace is the only expensive path and is done lazily.
+
+Each composite type writes its hull in closed form, as Kronecker products of
+its factors' orthonormal frames (:func:`kron_rows`), so no connective
+factorizes a matrix at the composite's size. ``tensor`` builds whichever of
+its two forms has fewer rows: the span form while ``2 (r_A+1)(r_B+1) <= m``,
+the constraint form above that. ``par`` and ``hom`` are duals of a tensor,
+so they hold its dual form, with as many rows as the tensor's smaller one.
+``seq`` builds the constraint form, whose slice rows run over the whole
+basis of its first factor.
 
 Both conversions, and the dual of a constraint form, take the orthogonal
 complement of ``k`` orthonormal rows in ``m`` coordinates. Three cases are
@@ -56,13 +66,18 @@ def check_dimension(n: int) -> int:
     return int(n)
 
 
-def check_hermitian(mat: np.ndarray, tol: float | None = None) -> np.ndarray:
-    """Validate Hermiticity and return the matrix as a complex array."""
+def check_hermitian(mat: np.ndarray, tol: float | None = None,
+                    adjoint: np.ndarray | None = None) -> np.ndarray:
+    """Validate Hermiticity and return the matrix as a complex array.
+
+    A caller that needs ``mat.conj().T`` anyway passes it as ``adjoint``.
+    """
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ShapeMismatchError(f"expected a square matrix, got shape {mat.shape}")
     tol = TOLS.herm if tol is None else tol
-    dev = np.max(np.abs(mat - mat.conj().T)) if mat.size else 0.0
+    adjoint = mat.conj().T if adjoint is None else adjoint
+    dev = np.max(np.abs(mat - adjoint)) if mat.size else 0.0
     scale = max(float(np.max(np.abs(mat))) if mat.size else 0.0, 1.0)
     if not dev <= tol * scale:      # NaN fails too
         raise HermiticityError(f"matrix deviates from Hermiticity by {dev:.3e}")
@@ -70,26 +85,33 @@ def check_hermitian(mat: np.ndarray, tol: float | None = None) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _entry_coords(n: int) -> tuple[np.ndarray, ...]:
-    """The basis table ``(re_i, re_c, im_i, im_c, flat)``: entry ``(i, j)`` of a
-    Hermitian matrix is ``c[re_i] * re_c + 1j * c[im_i] * im_c`` in coordinates
-    ``c``, and ``flat`` indexes, row-major, the entries the coordinates read."""
-    k, idx = n * (n - 1) // 2, np.arange(n)
+def _flat_index(n: int) -> np.ndarray:
+    """Row-major index of the entries the coordinates read: the diagonal,
+    then the upper entries in lexicographic order; each upper entry carries
+    a symmetric and an antisymmetric coordinate."""
     iu, ju = np.triu_indices(n, k=1)
-    flat = np.concatenate([idx * (n + 1), iu * n + ju])
+    return np.concatenate([np.arange(n) * (n + 1), iu * n + ju])
+
+
+@functools.lru_cache(maxsize=64)
+def _entry_coords(n: int) -> tuple[np.ndarray, ...]:
+    """The basis table ``(re_i, re_c, im_i, im_c)``: entry ``(i, j)`` of a
+    Hermitian matrix is ``c[re_i] * re_c + 1j * c[im_i] * im_c`` in
+    coordinates ``c``, in the order of :func:`_flat_index`."""
+    k, idx, flat = n * (n - 1) // 2, np.arange(n), _flat_index(n)
     re_i = np.zeros((n, n), dtype=int)      # entries (i, j) and (j, i) share a coordinate
     re_i.flat[flat] = re_i.T.flat[flat] = np.arange(n + k)
     on_diag = idx[:, None] == idx[None, :]
     re_c = np.where(on_diag, 1.0, 1.0 / _SQRT2)
     im_c = np.where(on_diag, 0.0, np.sign(idx[:, None] - idx[None, :]) / _SQRT2)
-    return re_i, re_c, np.where(on_diag, 0, re_i + k), im_c, flat
+    return re_i, re_c, np.where(on_diag, 0, re_i + k), im_c
 
 
 def herm_to_coords(mats: np.ndarray) -> np.ndarray:
     """Map Hermitian ``(..., n, n)`` to ``(..., n**2)``; reads the upper triangle."""
     mats = np.asarray(mats, dtype=complex)
     n = mats.shape[-1]
-    c = mats.reshape(mats.shape[:-2] + (n * n,))[..., _entry_coords(n)[4]]
+    c = mats.reshape(mats.shape[:-2] + (n * n,))[..., _flat_index(n)]
     return np.concatenate(
         [c[..., :n].real, _SQRT2 * c[..., n:].real, -_SQRT2 * c[..., n:].imag], axis=-1)
 
@@ -100,7 +122,7 @@ def coords_to_herm(coords: np.ndarray, n: int) -> np.ndarray:
     if coords.shape[-1] != n * n:
         raise ShapeMismatchError(
             f"coordinate length {coords.shape[-1]} does not match dimension {n}")
-    re_i, re_c, im_i, im_c, _ = _entry_coords(n)
+    re_i, re_c, im_i, im_c = _entry_coords(n)
     return coords[..., re_i] * re_c + 1j * (coords[..., im_i] * im_c)
 
 
@@ -125,11 +147,11 @@ def _kron_terms(na: int, nb: int) -> tuple[np.ndarray, ...]:
     """
     d = na * nb
     # the product entries read; a pair's two coordinates share its upper entry
-    rows, cols = np.divmod(_entry_coords(d)[4], d)
+    rows, cols = np.divmod(_flat_index(d), d)
     i, k = np.divmod(rows, nb)
     j, l = np.divmod(cols, nb)
-    xr, xrc, xi, xic = (t[i, j] for t in _entry_coords(na)[:4])
-    yr, yrc, yi, yic = (t[k, l] for t in _entry_coords(nb)[:4])
+    xr, xrc, xi, xic = (t[i, j] for t in _entry_coords(na))
+    yr, yrc, yi, yic = (t[k, l] for t in _entry_coords(nb))
     # diagonal and symmetric coordinates carry Re(x y), antisymmetric -Im(x y)
     scale = np.where(rows == cols, 1.0, _SQRT2)
     re = (xr, yr, scale * xrc * yrc, xi, yi, -scale * xic * yic)
@@ -138,12 +160,39 @@ def _kron_terms(na: int, nb: int) -> tuple[np.ndarray, ...]:
     return tuple(np.concatenate([r, m]) for r, m in zip(re, im))
 
 
-def kron_rows(left: np.ndarray, right: np.ndarray, na: int, nb: int) -> np.ndarray:
-    """Coordinate rows of kron(L_k, R_l), ``k`` major, from coordinate rows."""
+def kron_rows(left: np.ndarray | None, right: np.ndarray | None, na: int, nb: int,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """Coordinate rows of kron(L_k, R_l), ``k`` major, from coordinate rows.
+
+    ``None`` stands for a factor's whole basis, the identity rows of
+    ``Herm(n)``. Each product coordinate reads at most two entries of each
+    factor, so against a whole basis it is two scatters of the other
+    factor's columns: the same entries as the dense product with
+    ``np.eye(n * n)``, without multiplying by its zeros. Two general factors
+    take one einsum over the two terms. The rows go into ``out`` when given,
+    a zeroed C-contiguous block with one row per product, so a constructor
+    can stack its blocks in one array without copying them.
+    """
     i1, j1, c1, i2, j2, c2 = _kron_terms(na, nb)
+    kl = na * na if left is None else len(left)
+    kr = nb * nb if right is None else len(right)
+    m = len(c1)
+    if out is None:
+        out = np.zeros((kl * kr, m))
+    blocks = out.reshape(kl, kr, m)
+    if left is None or right is None:
+        cols = np.arange(m)
+        if left is None:        # as (l, k, m): term t of coordinate m is in row k = i_t
+            blocks, other, at, of = blocks.transpose(1, 0, 2), right, (i1, i2), (j1, j2)
+        else:                   # (k, l, m): term t of coordinate m is in row l = j_t
+            other, at, of = left, (j1, j2), (i1, i2)
+        blocks[:, at[0], cols] = other[:, of[0]] * c1
+        blocks[:, at[1], cols] += other[:, of[1]] * c2
+        return out
     lt = np.stack([left[:, i1] * c1, left[:, i2] * c2])
     rt = np.stack([right[:, j1], right[:, j2]])
-    return np.einsum('tkm,tlm->klm', lt, rt).reshape(-1, na * na * nb * nb)
+    np.einsum('tkm,tlm->klm', lt, rt, out=blocks)
+    return out
 
 
 def matricize(x: np.ndarray, d_left: int, d_right: int) -> np.ndarray:
@@ -167,9 +216,14 @@ def matricize(x: np.ndarray, d_left: int, d_right: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def min_eig(mat: np.ndarray) -> float:
-    """Smallest eigenvalue of a Hermitian matrix (input symmetrized)."""
-    mat = np.asarray(mat, dtype=complex)
-    return float(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)[0])
+    """Smallest eigenvalue of a Hermitian matrix (input symmetrized).
+
+    The matrix is halved before its adjoint is added, so entries near the
+    float limit do not overflow the sum; halving is exact, so the result is
+    the same as that of ``(mat + mat^dagger) / 2`` wherever that is finite.
+    """
+    half = np.asarray(mat, dtype=complex) / 2.0
+    return float(np.linalg.eigvalsh(half + half.conj().T)[0])
 
 
 def psd_test(mat: np.ndarray, tol: float | None = None) -> tuple[float, bool]:
@@ -314,6 +368,11 @@ class AffineSubspace:
             return self._dirs.shape[0]
         return self._m - self._cons.shape[0]
 
+    @property
+    def holds_span(self) -> bool:
+        """Whether the span form is at hand, so :meth:`dirs_coords` is free."""
+        return self._dirs is not None
+
     def base_vec(self) -> np.ndarray:
         """Minimum-norm point of the subspace (canonical base)."""
         if self._base is not None:
@@ -366,7 +425,9 @@ class AffineSubspace:
 
     def contains_vec(self, x: np.ndarray, tol: float | None = None) -> bool:
         tol = TOLS.sub if tol is None else tol
-        return self.distance(x) <= tol * max(float(np.linalg.norm(x)), 1.0)
+        # a norm that overflows leaves no finite threshold: x fails, as NaN does
+        bound = tol * max(float(np.linalg.norm(x)), 1.0)
+        return bound < np.inf and self.distance(x) <= bound
 
     def contains(self, mat: np.ndarray, tol: float | None = None) -> bool:
         mat = check_hermitian(mat, tol=max(TOLS.herm, TOLS.sub if tol is None else tol))
@@ -396,9 +457,11 @@ class AffineSubspace:
         nc = float(np.linalg.norm(c))
         if nc <= TOLS.sub * 10:
             raise EmptyDualError("subspace passes through the origin; dual is empty")
-        u_dirs = _complement(c[None, :] / nc, c.shape[0])
         base = A.T @ (c / nc ** 2)
-        dirs = u_dirs @ A
+        if c[1:].any():
+            dirs = _complement(c[None, :] / nc, c.shape[0]) @ A
+        else:   # only the first row has a value: the others are the directions
+            dirs = A[1:]
         return AffineSubspace(self.matrix_dim, base=base, dirs=dirs)
 
     # -- relations ---------------------------------------------------------

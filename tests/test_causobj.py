@@ -371,6 +371,25 @@ class TestClosedForms:
             assert np.max(np.abs(dirs @ base), initial=0.0) <= \
                 orth * max(1.0, np.linalg.norm(base))
 
+    def test_tensor_builds_the_smaller_form(self, type_pairs):
+        # span form while 2 (ra+1)(rb+1) <= m, else the orthonormal
+        # constraint rows a^(x)b^, D*a(x)Herm(B), Ua(x)D*b (or mirrored); the
+        # test above holds both sides to the product grid
+        sides = Counter()
+        for a, b in type_pairs:
+            t = tensor_obj(a, b).states
+            ra, rb, m = a.states.rank(), b.states.rank(), t.matrix_dim ** 2
+            span = 2 * (ra + 1) * (rb + 1) <= m
+            assert t.holds_span == span, (a.label, b.label)
+            sides[span] += 1
+            if not span:
+                rows, vals = t.cons_rows()
+                assert len(rows) == m - (ra + 1) * (rb + 1) + 1
+                gram = rows @ rows.T
+                assert np.max(np.abs(gram - np.eye(len(gram)))) <= 1e-10, (a.label, b.label)
+                assert np.count_nonzero(vals) == 1
+        assert sides[True] >= 20 and sides[False] >= 20, sides
+
     def test_seq_equals_par_intersected_with_slices(self, type_pairs):
         cut = 0
         for a, b in type_pairs:
@@ -426,6 +445,22 @@ class TestClosedForms:
         for a, b in collapsed:
             seq_obj(a, b)
         assert calls["par_obj"] == len(collapsed)
+
+    @pytest.mark.parametrize("connective,p,q", [(tensor_obj, 2, 4), (seq_obj, 3, 3)])
+    def test_no_complement_at_composite_size(self, connective, p, q, monkeypatch):
+        # [FO(2),FO(4)]*[FO(2),FO(4)] (dim 64, constraint form) and
+        # [FO(3),FO(3)]<[FO(3),FO(3)] (dim 81) complement at factor size only
+        sizes = []
+
+        def counted(rows, m):
+            sizes.append(m)
+            return complement(rows, m)
+
+        complement = hermspace._complement
+        monkeypatch.setattr(hermspace, "_complement", counted)
+        connective(hom_obj(mk_first_order(p), mk_first_order(q)),
+                   hom_obj(mk_first_order(p), mk_first_order(q)))
+        assert sizes and max(sizes) <= (p * q) ** 2, sizes
 
     def test_grid_limit_refuses_before_allocating(self):
         fo = mk_first_order(23)             # 529 x 529 product points > 250,000

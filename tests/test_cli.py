@@ -226,7 +226,8 @@ class TestMember:
         assert code == 0 and doc["verdict"] is True
 
     def test_overflowing_measurements_print_null(self, capsys, tmp_path):
-        # the verdict stands; the measurements that overflow are not numbers
+        # the verdict stands; the measurement that overflows is not a number,
+        # and the least eigenvalue, halved before the sum, does not overflow
         path = tmp_path / "big.json"
         save_matrix(str(path), np.diag([1e308, 1e308]).astype(complex))
         with warnings.catch_warnings(record=True) as caught:
@@ -240,7 +241,24 @@ class TestMember:
         doc = json.loads(out, parse_constant=reject)
         assert code == 1 and err == "" and caught == []
         assert doc["verdict"] is False
-        assert doc["min_eigenvalue"] is None and doc["affine_distance"] is None
+        assert doc["min_eigenvalue"] == 1e308 and doc["affine_distance"] is None
+
+    def test_overflowing_cup_state_is_a_verdict(self, capsys, tmp_path):
+        # its spectrum is [0, 0, 0, inf]: no LinAlgError, so no exit 2
+        path = tmp_path / "big.json"
+        save_matrix(str(path), 1e308 * cup_state(2).astype(complex))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")     # a process prints these on stderr
+            code = main(["member", "[FO(2),FO(2)]", str(path)])
+        out, err = capsys.readouterr()
+
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        doc = json.loads(out, parse_constant=reject)
+        assert code in (0, 1) and code == (0 if doc["verdict"] else 1)
+        assert err == "" and caught == []
+        assert doc["verdict"] is False and doc["min_eigenvalue"] == 0.0
 
     def test_exit_mirrors_verdict(self, capsys, tmp_path, rng):
         for i in range(4):

@@ -292,6 +292,14 @@ class TestChoiForms:
             ChoiMap((2,), (2,), np.diag([1.0, -1.0, 0, 0]))
         ChoiMap((2,), (2,), np.diag([1.0, -1.0, 0, 0]), validate=False)
 
+    def test_validation_near_the_float_limit(self):
+        # the PSD gate's spectrum does not overflow: the scaled identity
+        # channel is PSD, and no bare LinAlgError escapes the constructor
+        big = 1e308 * cup_state(2).astype(complex)
+        assert np.array_equal(ChoiMap((2,), (2,), big).J, big)
+        with pytest.raises(InconsistencyError):
+            ChoiMap((2,), (2,), -big)
+
     def test_shape_validation(self):
         with pytest.raises(ShapeMismatchError):
             ChoiMap((2,), (2,), np.eye(3))

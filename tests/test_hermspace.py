@@ -173,6 +173,27 @@ class TestKronecker:
         rhs = (left @ matricize(x, na, nb) @ right.T).ravel()
         np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("na,nb", [(2, 3), (3, 2), (4, 4), (6, 9)])
+    def test_whole_basis_blocks_equal_the_dense_identity(self, na, nb):
+        # None is a factor's whole basis: two scatters, the entries of the
+        # einsum against np.eye exactly (a zero may differ in sign)
+        rng = np.random.default_rng(7 * na + nb)
+        left = rng.standard_normal((3, na * na))
+        right = rng.standard_normal((5, nb * nb))
+        assert np.array_equal(kron_rows(None, right, na, nb),
+                              kron_rows(np.eye(na * na), right, na, nb))
+        assert np.array_equal(kron_rows(left, None, na, nb),
+                              kron_rows(left, np.eye(nb * nb), na, nb))
+
+    def test_rows_written_into_a_given_block(self):
+        rng = np.random.default_rng(5)
+        left, right = rng.standard_normal((2, 4)), rng.standard_normal((3, 9))
+        stack = np.zeros((2 * 3 + 4 * 3, 36))
+        assert kron_rows(left, right, 2, 3, out=stack[:6]).base is stack
+        kron_rows(None, right, 2, 3, out=stack[6:])
+        assert np.array_equal(stack, np.vstack([kron_rows(left, right, 2, 3),
+                                                kron_rows(None, right, 2, 3)]))
+
     def test_only_hermspace_spells_the_basis(self):
         # the basis order and its sqrt(2) scaling live in one module, and
         # within it in one table; the others go through the conversions and
@@ -202,6 +223,14 @@ class TestPsd:
 
     def test_negative(self):
         assert not psd_check(np.diag([1.0, -0.5]))
+
+    def test_entries_near_the_float_limit_do_not_overflow(self):
+        # halved before the adjoint is added: the spectrum is [0, 0, 0, inf]
+        v = np.eye(2, dtype=complex).reshape(-1)
+        big = 1e308 * np.outer(v, v)
+        assert min_eig(big) == 0.0
+        assert psd_check(big)
+        assert min_eig(np.diag([1e308, 1e308])) == 1e308
 
     def test_invalid_dim(self):
         with pytest.raises(InvalidDimensionError):
@@ -299,6 +328,18 @@ class TestAffineDual:
             x = w.project_vec(herm_to_coords(random_herm(rng, 2)))
             y = dual.project_vec(herm_to_coords(random_herm(rng, 2)))
             assert abs(float(x @ y) - 1.0) < 1e-10
+
+    def test_value_on_the_first_row_only(self):
+        # the other rows are the dual's directions as they stand, the same
+        # subspace the general path (value spread over the rows) finds
+        rng = np.random.default_rng(19)
+        rows = np.linalg.qr(rng.standard_normal((9, 4)))[0].T
+        first = AffineSubspace(3, cons=rows, vals=np.array([0.5, 0.0, 0.0, 0.0]))
+        mixed = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        spread = AffineSubspace(3, cons=mixed @ rows, vals=mixed @ first.cons_rows()[1])
+        dual = first.dual()
+        assert np.array_equal(dual.dirs_coords(), rows[1:])
+        assert dual.equals(spread.dual())
 
     def test_empty_dual_raises(self):
         # a purely linear space through the origin has no normalizing dual
