@@ -20,7 +20,7 @@ from .errors import (FlatnessError, HermiticityError, InvalidDimensionError,
 from .hermspace import (AffineSubspace, check_hermitian, coords_to_herm,
                         herm_to_coords, kron_rows, matricize, min_eig,
                         psd_test, vec_identity)
-from .tolerances import TOLS
+from .tolerances import TOLS, magnitude, within
 
 
 def _wire_dims(dims) -> tuple[int, ...]:
@@ -45,11 +45,14 @@ class CausObject:
         self.states = states
         self._effects = effects
         self.label = label
-        lam, resid = states.solve_scalar_identity()
-        if not (lam > TOLS.sub) or resid > 1e3 * TOLS.sub * max(1.0, abs(lam)):
+        # closed: the states share one trace, so the min-norm point is lam * I, lam > 0
+        base, eye = states.base_vec(), vec_identity(self.dim)
+        lam = float(base @ eye) / self.dim
+        resid = magnitude(base - lam * eye)
+        if within(lam, TOLS.sub) or not within(resid, 1e3 * TOLS.sub, lam):
             raise FlatnessError(
-                f"state hull of {label!r} holds no positive multiple of the identity "
-                f"(lam={lam:.3e}, residual={resid:.3e})")
+                f"state hull of {label!r} has no flat state: its min-norm point is not "
+                f"a positive multiple of the identity (lam={lam:.3e}, residual={resid:.3e})")
         self.flat_lambda = lam
         self._dual: CausObject | None = None
         if dual_of is not None:
@@ -290,7 +293,8 @@ def check_morphism(f: ChoiMap, a: CausObject, b: CausObject,
     if f.d_in != a.dim or f.d_out != b.dim:
         raise ShapeMismatchError(
             f"map has shape {f.d_in}->{f.d_out}, types have {a.dim}->{b.dim}")
-    floor = max(TOLS.psd, tol) * max(1.0, float(np.linalg.norm(f.J)))
+    cp_tol, scale = max(TOLS.psd, tol), magnitude(f.J)
+    floor = cp_tol * max(scale, 1.0)
     # a Cholesky factor of H + floor I proves min eig(H) >= -floor for the
     # Hermitian part H that min_eig reads (cholesky sees one triangle only);
     # the spectrum is computed only to decide and report a map that fails it;
@@ -304,7 +308,7 @@ def check_morphism(f: ChoiMap, a: CausObject, b: CausObject,
         np.linalg.cholesky(h)
     except np.linalg.LinAlgError:
         me = min_eig(f.J)
-        if me < -floor:
+        if not within(-me, cp_tol, scale):
             raise MorphismError(
                 f"map is not completely positive (min Choi eigenvalue {me:.3e})",
                 reason="cp", residual=-me) from None
@@ -315,9 +319,9 @@ def check_morphism(f: ChoiMap, a: CausObject, b: CausObject,
     outs = (mats.reshape(-1, di * di) @ push).reshape(-1, do, do)
     coords = herm_to_coords(outs)
     dists = b.states.distances(coords)
-    scales = np.maximum(1.0, np.linalg.norm(coords, axis=1))
+    scales = np.maximum(1.0, magnitude(coords, axis=1))
     worst = float(np.max(dists / scales)) if dists.size else 0.0
-    if not worst <= tol:            # an overflow to NaN fails too
+    if not within(worst, tol):
         raise MorphismError(
             f"map sends some source states off the target hull "
             f"(worst relative distance {worst:.3e})",
@@ -338,8 +342,7 @@ def _pairs_to_one(x: np.ndarray, c: np.ndarray, a: CausObject, b: CausObject) ->
     ``c`` is ``matricize(x, a.dim, b.dim)``, so the pairings are one product.
     """
     pair = a.effects.affine_points() @ c @ b.effects.affine_points().T
-    bound = TOLS.sub * max(1.0, float(np.linalg.norm(x)))
-    return bound < np.inf and float(np.max(np.abs(pair - 1.0))) <= bound
+    return within(float(np.max(np.abs(pair - 1.0))), TOLS.sub, magnitude(x))
 
 
 def par_member(x: np.ndarray, a: CausObject, b: CausObject) -> bool:
@@ -365,7 +368,7 @@ def seq_member(x: np.ndarray, a: CausObject, b: CausObject) -> bool:
     # contracting the second block with any effect direction of b gives zero
     cb, _ = b.effects.cons_rows()
     resid = c - (c @ cb.T) @ cb
-    return float(np.linalg.norm(resid)) <= TOLS.sub * max(1.0, float(np.linalg.norm(x)))
+    return within(magnitude(resid), TOLS.sub, magnitude(x))
 
 
 def interchange_check(a_state: np.ndarray, a: CausObject, b: CausObject,

@@ -32,8 +32,10 @@ from .signalling import (coend_equiv, comb_decompose,
                          equiv_certificate, nonsignalling_test)
 
 
-def _emit(doc: dict) -> None:
-    print(json.dumps(doc, indent=2))
+def _emit(doc: dict, indent: int | None = 2) -> None:
+    """Print ``doc`` as strict JSON: a measurement that overflowed is ``null``."""
+    doc = json.loads(json.dumps(doc), parse_constant=lambda _: None)   # NaN, Infinity
+    print(json.dumps(doc, indent=indent, allow_nan=False))
 
 
 def _elab(text: str):
@@ -107,16 +109,13 @@ def _cmd_member(args) -> int:
     _, obj = _elab(args.type)
     mat = load_matrix(args.file, args.format)
     try:
-        # entries near the float limit overflow the measurements, not the verdict
-        with np.errstate(over="ignore", invalid="ignore"):
-            rep = membership_report(obj, mat, tol=args.tol)
+        rep = membership_report(obj, mat, tol=args.tol)
     except HermiticityError as err:
         _emit({"verdict": False, "reason": "not_hermitian", "detail": str(err)})
         return 1
     _emit({
         "verdict": bool(rep["member"]),
-        **{k: float(rep[k]) if math.isfinite(rep[k]) else None     # strict JSON
-           for k in ("min_eigenvalue", "affine_distance")},
+        **{k: float(rep[k]) for k in ("min_eigenvalue", "affine_distance")},
         "first_order": bool(rep["first_order"]),
         "flat_lambda": float(rep["flat_lambda"]),
     })
@@ -130,9 +129,8 @@ def _cmd_morphism(args) -> int:
     try:
         check_morphism(cm, src, tgt, tol=args.tol)
     except MorphismError as err:
-        r = float(err.residual)
         _emit({"verdict": False, "reason": err.reason,
-               "residual": r if math.isfinite(r) else None})     # strict JSON
+               "residual": float(err.residual)})
         return 1
     _emit({"verdict": True, "source": print_type(parse_type(args.source)),
            "target": print_type(parse_type(args.target))})
@@ -215,7 +213,7 @@ def _cmd_laws(args) -> int:
             raise ValueError("--budget needs at least 1 trial per law")
     records = law_suite(seed=args.seed, budget=budget)
     for rec in records:
-        print(json.dumps(rec))
+        _emit(rec, indent=None)
     return 0 if all(r["pass"] for r in records) else 1
 
 
@@ -373,7 +371,9 @@ def main(argv=None) -> int:
     try:
         if not 0.0 <= (getattr(args, "tol", None) or 0.0) < math.inf:     # unset passes
             raise ValueError(f"--tol must be a finite number >= 0, got {args.tol!r}")
-        code = args.fn(args)
+        # entries near the float limit overflow measurements, not verdicts
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = args.fn(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -32,7 +32,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .hermspace import check_hermitian, min_eig, psd_check, psd_test
-from .tolerances import TOLS
+from .tolerances import TOLS, magnitude, within
 
 
 def _check_dims(dims) -> tuple[int, ...]:
@@ -176,11 +176,10 @@ class ChoiMap:
     def trace_defect(self) -> float:
         """Norm of ``Tr_out(J) - I`` (zero for trace-preserving maps)."""
         marg = partial_trace(self.J, (self.d_out, self.d_in), [1])
-        return float(np.linalg.norm(marg - np.eye(self.d_in)))
+        return magnitude(marg - np.eye(self.d_in))
 
     def is_trace_preserving(self, tol: float | None = None) -> bool:
-        tol = TOLS.psd if tol is None else tol
-        return self.trace_defect() <= tol * max(self.d_in, 1)
+        return within(self.trace_defect(), TOLS.psd if tol is None else tol, self.d_in)
 
     def is_cptp(self, tol: float | None = None) -> bool:
         return psd_check(self.J, tol) and self.is_trace_preserving(tol)
@@ -313,10 +312,10 @@ class Isometry:
                 f"isometry shape {v.shape}, expected {(self.d_out, self.in_dim)}")
         gram = v.conj().T @ v
         dev = float(np.max(np.abs(gram - np.eye(self.in_dim))))
-        if dev > TOLS.psd * max(1.0, float(np.max(np.abs(gram)))):
+        if not within(dev, TOLS.psd, float(np.max(np.abs(gram)))):
             if not allow_contraction:
                 raise InconsistencyError(f"matrix is not an isometry (deviation {dev:.3e})")
-            if min_eig(np.eye(self.in_dim) - gram) < -TOLS.psd:
+            if not within(-min_eig(np.eye(self.in_dim) - gram), TOLS.psd):
                 raise InconsistencyError("matrix is not even a contraction")
         self.v = v
         self.isometric_defect = dev
@@ -340,14 +339,13 @@ def stinespring(choi: ChoiMap) -> tuple[Isometry, int]:
     ``V`` is an isometry when the map is trace preserving, otherwise a
     contraction.
     """
-    tol = TOLS.psd
     J = check_hermitian(choi.J)
     vals, vecs = np.linalg.eigh(J)
-    scale = max(float(vals[-1]), 0.0)
-    if vals[0] < -tol * max(scale, 1.0):
+    scale = float(vals[-1])
+    if not within(-vals[0], TOLS.psd, scale):
         raise InconsistencyError(
             f"Choi matrix is not PSD (min eig {vals[0]:.3e}); no dilation exists")
-    keep = vals > tol * max(scale, 1.0)
+    keep = vals > TOLS.psd * max(scale, 1.0)
     env = int(np.count_nonzero(keep))
     if env == 0:
         raise InconsistencyError("zero map has no dilation")
@@ -365,7 +363,6 @@ def dilation_isometry(p1: Isometry, p2: Isometry) -> Isometry:
     ``p1`` must be a minimal dilation; both must dilate the same map (their
     environment-traced Choi matrices must agree).
     """
-    tol = TOLS.roundtrip
     if p1.in_dim != p2.in_dim:
         raise ShapeMismatchError("dilations have different input dimensions")
     sys1, e1 = math.prod(p1.out_dims[:-1]), p1.out_dims[-1]
@@ -374,14 +371,14 @@ def dilation_isometry(p1: Isometry, p2: Isometry) -> Isometry:
         raise ShapeMismatchError("dilations have different system outputs")
     c1 = p1.as_choi().marginal(list(range(len(p1.out_dims) - 1)))
     c2 = p2.as_choi().marginal(list(range(len(p2.out_dims) - 1)))
-    scale = max(float(np.max(np.abs(c1.J))), 1.0)
-    if float(np.max(np.abs(c1.J - c2.J))) > 100 * tol * scale:
+    if not within(float(np.max(np.abs(c1.J - c2.J))), 100 * TOLS.roundtrip,
+                  float(np.max(np.abs(c1.J)))):
         raise NoIsometryError("the two dilations do not dilate the same map")
     a = p1.v.reshape(sys1, e1, p1.in_dim).transpose(2, 0, 1).reshape(-1, e1)
     b = p2.v.reshape(sys2, e2, p2.in_dim).transpose(2, 0, 1).reshape(-1, e2)
     x, *_ = np.linalg.lstsq(a, b, rcond=None)
-    resid = float(np.linalg.norm(a @ x - b))
-    if resid > tol * max(float(np.linalg.norm(b)), 1.0) * 10:
+    resid = magnitude(a @ x - b)
+    if not within(resid, 10 * TOLS.roundtrip, magnitude(b)):
         raise NoIsometryError(f"no exact intertwiner exists (residual {resid:.3e})")
     try:
         return Isometry(x.T, e1, (e2,))
@@ -432,7 +429,7 @@ def shadow(sigma: ChoiMap, dil: Isometry, mediator_dim: int,
     rho_m = partial_trace(ww, (d_sys, mediator_dim), [1])
     proj = support_projector(rho_m)
     tr = float(np.real(np.trace(rho_m)))
-    omega = rho_m / tr if tr > TOLS.psd else proj / max(np.trace(proj).real, 1.0)
+    omega = proj / max(np.trace(proj).real, 1.0) if within(tr, TOLS.psd) else rho_m / tr
     pi = conditional_expectation(proj, omega)
 
     residuals = {
@@ -453,7 +450,7 @@ def shadow(sigma: ChoiMap, dil: Isometry, mediator_dim: int,
                                    mirror) for cm in (sigma, relation))
         scale = max(float(np.max(np.abs(lhs))), 1.0)
         residuals["absorb_relation"] = float(np.max(np.abs(lhs - rhs))) / scale
-    bad = {k: v for k, v in residuals.items() if v > max(TOLS.roundtrip, 1e-8) * 100}
+    bad = {k: v for k, v in residuals.items() if not within(v, max(TOLS.roundtrip, 1e-8) * 100)}
     if bad:
         raise ShadowNotFoundError(
             f"absorption equations violated: {bad}", residuals=residuals)
@@ -478,7 +475,7 @@ def ctrl(states) -> ChoiMap:
     if any(s.shape != (d, d) for s in states):
         raise ShapeMismatchError("branch states must share one dimension")
     for i, s in enumerate(states):
-        if not psd_test(s)[1] or abs(np.trace(s).real - 1.0) > TOLS.roundtrip * d:
+        if not (psd_test(s)[1] and within(abs(np.trace(s).real - 1.0), TOLS.roundtrip, d)):
             raise InconsistencyError(f"branch {i} is not a density matrix")
     n = len(states)
     J = np.zeros((d * n, d * n), dtype=complex)

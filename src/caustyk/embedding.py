@@ -32,7 +32,7 @@ from .sampling import (random_coarse_graining, random_decomp_pair,
                        sample_member)
 from .signalling import (DecompPair, coend_equiv, comb_decompose, party_choi,
                          party_name, recompose)
-from .tolerances import TOLS
+from .tolerances import TOLS, magnitude, within
 
 # contract tolerances of the audited laws, as multiples of the pack's base
 FUNCTOR_TOL = TOLS.sub / 10
@@ -46,7 +46,7 @@ _DIM_CAP = 64
 
 
 def _rel(delta: np.ndarray, ref: np.ndarray) -> float:
-    return float(np.linalg.norm(delta)) / max(1.0, float(np.linalg.norm(ref)))
+    return magnitude(delta) / max(1.0, magnitude(ref))
 
 
 def _require_boundary(*objs: CausObject) -> None:
@@ -232,10 +232,8 @@ def faithfulness_probe(f: CausMorphism, g: CausMorphism) -> bool:
     probe = alpha * cup_state(a.dim)
     u, allo = mk_unit(), mk_all_states(a)
     delta = F_mor(f, u, allo, probe) - F_mor(g, u, allo, probe)
-    dist = float(np.linalg.norm(delta)) / alpha
-    scale = max(1.0, float(np.linalg.norm(f.map.J)),
-                float(np.linalg.norm(g.map.J)))
-    return dist > PROBE_TOL * scale
+    return not within(magnitude(delta) / alpha, PROBE_TOL,
+                      max(magnitude(f.map.J), magnitude(g.map.J)))
 
 
 @dataclass
@@ -334,7 +332,7 @@ def fullness_reconstruct(S: BlackBoxTransform, a: CausObject, b: CausObject,
         have = S(x, xp, t)
         resid = _rel(have - want, want)
         worst = max(worst, resid)
-        if resid > tol:
+        if not within(resid, tol):
             return ReconstructReport(
                 status="not_natural", morphism=morph, residual=resid,
                 counterexample={"x": x.label, "xp": xp.label, "element": t,
@@ -358,7 +356,7 @@ class StrongClosureReport:
     def ok(self) -> bool:
         return (self.rank_family == self.rank_bent
                 and self.transports_failed == 0
-                and self.roundtrip_residual <= REBEND_TOL)
+                and within(self.roundtrip_residual, REBEND_TOL))
 
 
 def strong_closure_check(a: CausObject, b: CausObject,
@@ -459,7 +457,7 @@ def law_suite(seed=0, budget="small") -> list[dict]:
         out = F_mor(identity_morphism(a), x, xp, tau)
         r = _rel(out - tau, tau)
         rec("functor_identity", (a.label, x.label, xp.label, t),
-            r <= FUNCTOR_TOL, r)
+            within(r, FUNCTOR_TOL), r)
 
         s0, s1, s2 = fo(2), fo(2), fo(2)
         f = random_state_morphism(rng, s0, s1)
@@ -470,7 +468,7 @@ def law_suite(seed=0, budget="small") -> list[dict]:
         rhs = F_mor(g, x2, xp2, F_mor(f, x2, xp2, tau2))
         r = _rel(lhs - rhs, lhs)
         rec("functor_compose", (s0.label, s1.label, s2.label, t),
-            r <= FUNCTOR_TOL, r)
+            within(r, FUNCTOR_TOL), r)
 
     # boundary reindexing commutes with the middle action
     for t in range(trials):
@@ -489,7 +487,7 @@ def law_suite(seed=0, budget="small") -> list[dict]:
         rhs = profunctor_action(F_mor(f, x, xp, tau), g, h)
         r = _rel(lhs - rhs, lhs)
         rec("naturality_square", (a.label, x.label, y.label, t),
-            r <= SQUARE_TOL, r)
+            within(r, SQUARE_TOL), r)
 
     # threading a side wire commutes with the middle action
     for t in range(trials):
@@ -511,7 +509,7 @@ def law_suite(seed=0, budget="small") -> list[dict]:
         rhs = F_mor(f, wide_x, wide_xp, strength(img_a, tau, k))
         r = _rel(lhs - rhs, lhs)
         rec("strength_square", (a.label, x.label, k.source.label, t),
-            r <= SQUARE_TOL, r)
+            within(r, SQUARE_TOL), r)
 
     # parallel pairing: membership, naturality in both slots, unit laws
     for t in range(trials):
@@ -536,7 +534,7 @@ def law_suite(seed=0, budget="small") -> list[dict]:
                          img2b, F_mor(g, x2, x2p, t2))
         rhs = F_mor(tensor_morphisms(f, g), tgt.x, tgt.xp, prod)
         r = _rel(lhs - rhs, lhs)
-        rec("lax_tensor_natural", (a.label, b.label, t), r <= SQUARE_TOL, r)
+        rec("lax_tensor_natural", (a.label, b.label, t), within(r, SQUARE_TOL), r)
 
         unit_img = F_eval(u, u, u)
         one = np.array([[1.0]])
@@ -557,7 +555,7 @@ def law_suite(seed=0, budget="small") -> list[dict]:
         tau2 = lax_seq(back)
         r = _rel(tau2 - tau, tau)
         same = coend_equiv(back, pair)
-        rec("seq_roundtrip", (2, d, t), inside and r <= AGREE_TOL and same, r,
+        rec("seq_roundtrip", (2, d, t), inside and within(r, AGREE_TOL) and same, r,
             None if inside and same else {"member": inside,
                                           "z_original": pair.z_dim,
                                           "z_back": back.z_dim})
@@ -621,7 +619,7 @@ def law_suite(seed=0, budget="small") -> list[dict]:
         rep = fullness_reconstruct(transform_of_morphism(h), a, b,
                                    rng=rng, probes=3)
         r = rep.residual
-        ok = rep.ok and _rel(rep.morphism.map.J - h.map.J, h.map.J) <= AGREE_TOL
+        ok = rep.ok and within(_rel(rep.morphism.map.J - h.map.J, h.map.J), AGREE_TOL)
         rec("fullness_roundtrip", (a.label, b.label, t), ok, r)
 
         rep2 = fullness_reconstruct(_transpose_box(a, a), a, a, rng=rng, probes=1)

@@ -38,7 +38,9 @@ class InconsistencyError(CaustykError):
 
 
 class FlatnessError(InconsistencyError):
-    """No positive multiple of the identity lies on the affine hull."""
+    """A state hull has no flat state: its min-norm point is not a positive
+    multiple of the identity, as it passes through the origin or its states
+    do not share one trace."""
 
 
 class MorphismError(CaustykError):

@@ -45,13 +45,12 @@ import numpy as np
 
 from .errors import (
     EmptyDualError,
-    FlatnessError,
     HermiticityError,
     InconsistencyError,
     InvalidDimensionError,
     ShapeMismatchError,
 )
-from .tolerances import TOLS
+from .tolerances import TOLS, magnitude, within
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -77,9 +76,8 @@ def check_hermitian(mat: np.ndarray, tol: float | None = None,
         raise ShapeMismatchError(f"expected a square matrix, got shape {mat.shape}")
     tol = TOLS.herm if tol is None else tol
     adjoint = mat.conj().T if adjoint is None else adjoint
-    dev = np.max(np.abs(mat - adjoint)) if mat.size else 0.0
-    scale = max(float(np.max(np.abs(mat))) if mat.size else 0.0, 1.0)
-    if not dev <= tol * scale:      # NaN fails too
+    dev = float(np.max(np.abs(mat - adjoint), initial=0.0))
+    if not within(dev, tol, float(np.max(np.abs(mat), initial=0.0))):
         raise HermiticityError(f"matrix deviates from Hermiticity by {dev:.3e}")
     return mat
 
@@ -231,7 +229,7 @@ def psd_test(mat: np.ndarray, tol: float | None = None) -> tuple[float, bool]:
     ``-tol * max(max|mat|, 1)`` (``tol`` defaults to ``TOLS.psd``)."""
     tol = TOLS.psd if tol is None else tol
     low = min_eig(mat)
-    return low, low >= -tol * max(float(np.max(np.abs(mat))) if mat.size else 0.0, 1.0)
+    return low, within(-low, tol, float(np.max(np.abs(mat), initial=0.0)))
 
 
 def psd_check(mat: np.ndarray, tol: float | None = None) -> bool:
@@ -417,17 +415,14 @@ class AffineSubspace:
         """Per-row distances for a batch of coordinate vectors, shape (k, m)."""
         xs = np.asarray(xs, dtype=float)
         if self._cons is not None:
-            return np.linalg.norm(xs @ self._cons.T - self._vals, axis=1)
+            return magnitude(xs @ self._cons.T - self._vals, axis=1)
         y = xs - self._base
         if self._dirs.shape[0]:
             y = y - (y @ self._dirs.T) @ self._dirs
-        return np.linalg.norm(y, axis=1)
+        return magnitude(y, axis=1)
 
     def contains_vec(self, x: np.ndarray, tol: float | None = None) -> bool:
-        tol = TOLS.sub if tol is None else tol
-        # a norm that overflows leaves no finite threshold: x fails, as NaN does
-        bound = tol * max(float(np.linalg.norm(x)), 1.0)
-        return bound < np.inf and self.distance(x) <= bound
+        return within(self.distance(x), TOLS.sub if tol is None else tol, magnitude(x))
 
     def contains(self, mat: np.ndarray, tol: float | None = None) -> bool:
         mat = check_hermitian(mat, tol=max(TOLS.herm, TOLS.sub if tol is None else tol))
@@ -446,16 +441,16 @@ class AffineSubspace:
         """
         if self._dirs is not None:
             b = self._base
-            nb = float(np.linalg.norm(b))
-            if nb <= TOLS.sub * 10:
+            nb = magnitude(b)
+            if within(nb, TOLS.sub * 10):
                 raise EmptyDualError("subspace passes through the origin; dual is empty")
             rows = np.concatenate([b[None, :] / nb, self._dirs], axis=0)
             vals = np.zeros(rows.shape[0])
             vals[0] = 1.0 / nb
             return AffineSubspace(self.matrix_dim, cons=rows, vals=vals)
         A, c = self._cons, self._vals
-        nc = float(np.linalg.norm(c))
-        if nc <= TOLS.sub * 10:
+        nc = magnitude(c)
+        if within(nc, TOLS.sub * 10):
             raise EmptyDualError("subspace passes through the origin; dual is empty")
         base = A.T @ (c / nc ** 2)
         if c[1:].any():
@@ -487,33 +482,13 @@ class AffineSubspace:
             od = other._dirs
             resid = float(np.max(np.abs(d - (d @ od.T) @ od))) if od.shape[0] else \
                 float(np.max(np.abs(d)))
-        return resid <= TOLS.sub * 10
+        return within(resid, TOLS.sub * 10)
 
     def equals(self, other: "AffineSubspace") -> bool:
         return self.rank() == other.rank() and self.is_subset(other) \
             and other.contains_vec(self.base_vec())
 
     # -- specialized operations --------------------------------------------
-
-    def solve_scalar_identity(self) -> tuple[float, float]:
-        """The scalar ``lam`` with ``lam * I`` on the subspace, plus residual."""
-        i = vec_identity(self.matrix_dim)
-        if self._cons is not None:
-            a = self._cons @ i
-            na = float(np.linalg.norm(a))
-            if na <= TOLS.sub:
-                raise FlatnessError("identity direction lies inside the subspace")
-            lam = float(a @ self._vals) / na ** 2
-            resid = float(np.linalg.norm(lam * a - self._vals))
-            return lam, resid
-        b = self._base
-        p = i - (self._dirs.T @ (self._dirs @ i) if self._dirs.shape[0] else 0.0)
-        npd = float(np.linalg.norm(p))
-        if npd <= TOLS.sub:
-            raise FlatnessError("identity direction lies inside the subspace")
-        lam = float(p @ b) / npd ** 2
-        resid = float(np.linalg.norm(lam * p - b))
-        return lam, resid
 
     def intersect_linear(self, rows: np.ndarray, vals: np.ndarray) -> "AffineSubspace":
         """Intersection with the affine conditions ``rows @ x = vals``.

@@ -10,7 +10,7 @@ from .cpmaps import ChoiMap, choi_of_kraus, regroup, structural, transpose_chann
 from .errors import CaustykError, InconsistencyError
 from .hermspace import coords_to_herm, herm_to_coords, min_eig
 from .signalling import DecompPair, med_precompose, recompose
-from .tolerances import TOLS
+from .tolerances import TOLS, within
 
 
 def rng_from(seed) -> np.random.Generator:
@@ -68,7 +68,7 @@ def sample_member(obj: CausObject, rng) -> np.ndarray:
         cand = (1.0 - t) * mat + t * flat
         s = rng.uniform(0.15, 0.95)
         out = flat + s * (cand - flat)
-        if min_eig(out) >= -TOLS.psd:
+        if within(-min_eig(out), TOLS.psd):
             return out
     raise InconsistencyError(f"could not sample a state of {obj.label!r}")
 

@@ -19,7 +19,7 @@ from .cpmaps import (ChoiMap, Isometry, act_on_factors, choi_of_kraus,
 from .errors import (HermiticityError, InconsistencyError, NoIsometryError,
                      NotOneWayError, ShapeMismatchError)
 from .hermspace import check_hermitian, min_eig
-from .tolerances import TOLS
+from .tolerances import TOLS, magnitude, within
 
 
 class SignalVerdict(enum.Enum):
@@ -66,9 +66,8 @@ def _steering(marg: ChoiMap, split: int, probe_right: bool) -> tuple[float, np.n
     else:
         avg = np.einsum('olrqlt->orqt', t) / d_probe
         proj = np.einsum('orqt,ls->olrqst', avg, eye)
-    scale = max(1.0, float(np.linalg.norm(marg.J)))
     d_k = d_o * marg.d_in // d_probe
-    return float(np.linalg.norm(t - proj)) / scale, avg.reshape(d_k, d_k)
+    return magnitude(t - proj) / max(1.0, magnitude(marg.J)), avg.reshape(d_k, d_k)
 
 
 def nonsignalling_test(cm: ChoiMap, n_out_a: int, n_in_a: int,
@@ -82,9 +81,9 @@ def nonsignalling_test(cm: ChoiMap, n_out_a: int, n_in_a: int,
     if not (0 <= n_out_a <= len(cm.out_dims)) or not (0 <= n_in_a <= len(cm.in_dims)):
         raise ShapeMismatchError("party cut exceeds the factor lists")
     marg_a = cm.marginal(list(range(n_out_a)))
-    b_to_a = _steering(marg_a, n_in_a, probe_right=True)[0] > tol
+    b_to_a = not within(_steering(marg_a, n_in_a, probe_right=True)[0], tol)
     marg_b = cm.marginal(list(range(n_out_a, len(cm.out_dims))))
-    a_to_b = _steering(marg_b, n_in_a, probe_right=False)[0] > tol
+    a_to_b = not within(_steering(marg_b, n_in_a, probe_right=False)[0], tol)
     if a_to_b and b_to_a:
         return SignalVerdict.TWO_WAY
     if a_to_b:
@@ -170,7 +169,7 @@ def comb_decompose(tau: ChoiMap, n_out_a: int, n_in_a: int,
 
     marg = tau.marginal(list(range(n_out_a)))        # (A_in, B_in) -> A_out
     steer, j_early = _steering(marg, n_in_a, probe_right=True)
-    if steer > tol:
+    if not within(steer, tol):
         raise NotOneWayError(
             f"early marginal moves with the late input (residual {steer:.3e})",
             residual=steer)
@@ -197,19 +196,19 @@ def comb_decompose(tau: ChoiMap, n_out_a: int, n_in_a: int,
                     check_hermitian(c6.transpose(0, 1, 2, 3, 5, 4).reshape(d_s, d_s),
                                     tol=TOLS.decomp), validate=False)
     me = min_eig(sigma.J)
-    if me < -max(TOLS.psd, tol) * max(1.0, float(np.linalg.norm(sigma.J))):
+    if not within(-me, max(TOLS.psd, tol), magnitude(sigma.J)):
         raise InconsistencyError(
             f"second tooth came out non-positive (min eig {me:.3e}); "
             "the steering construction cannot produce this for consistent input")
     pair = DecompPair(rho=rho, sigma=sigma, z_dim=env)
     defect = sigma.trace_defect()
-    if defect > tol * max(1.0, float(np.linalg.norm(sigma.J))):
+    if not within(defect, tol, magnitude(sigma.J)):
         raise NotOneWayError(
             f"second tooth is not trace preserving (defect {defect:.3e}); "
             "the later party influences the earlier one", residual=defect)
     rec = recompose(pair)
-    resid = float(np.linalg.norm(rec.J - tau.J)) / max(1.0, float(np.linalg.norm(tau.J)))
-    if resid > tol:
+    resid = magnitude(rec.J - tau.J) / max(1.0, magnitude(tau.J))
+    if not within(resid, tol):
         raise NotOneWayError(
             f"recomposition misses the channel by {resid:.3e}", residual=resid)
     return pair
@@ -222,7 +221,7 @@ def coend_equiv(p1: DecompPair, p2: DecompPair, tol: float | None = None) -> boo
     j2 = recompose(p2).J
     if j1.shape != j2.shape:
         return False
-    return float(np.linalg.norm(j1 - j2)) <= tol * max(1.0, float(np.linalg.norm(j1)))
+    return within(magnitude(j1 - j2), tol, magnitude(j1))
 
 
 # -- equivalence certificates ----------------------------------------------------
@@ -246,8 +245,8 @@ class Certificate:
 def _pairs_close(p1: DecompPair, p2: DecompPair, tol: float) -> bool:
     if p1.z_dim != p2.z_dim:
         return False
-    return (float(np.linalg.norm(p1.rho.J - p2.rho.J)) <= tol
-            and float(np.linalg.norm(p1.sigma.J - p2.sigma.J)) <= tol)
+    return (within(magnitude(p1.rho.J - p2.rho.J), tol)
+            and within(magnitude(p1.sigma.J - p2.sigma.J), tol))
 
 
 def _onto_frame(pair: DecompPair, frame: Isometry, base_rho: ChoiMap,
@@ -284,7 +283,7 @@ def _onto_frame(pair: DecompPair, frame: Isometry, base_rho: ChoiMap,
     on_frame = DecompPair(rho=base_rho, sigma=med_precompose(pure.sigma, ch),
                           z_dim=zstar)
     slide = None
-    if pure.z_dim != zstar or float(np.linalg.norm(v - np.eye(zstar))) > tol:
+    if pure.z_dim != zstar or not within(magnitude(v - np.eye(zstar)), tol):
         resid = float(np.linalg.norm(
             base_rho.act_on_out(len(base_rho.out_dims) - 1, 1, ch).J - rho.J))
         slide = (pure, on_frame, ch, resid)
@@ -307,7 +306,7 @@ def equiv_certificate(p1: DecompPair, p2: DecompPair,
         return Certificate(ok=True, steps=[])
     try:
         tau = recompose(p1)
-        scale = max(1.0, float(np.linalg.norm(tau.J)))
+        scale = max(1.0, magnitude(tau.J))
         # common frame: the minimal dilation of the first-party marginal
         minimal = comb_decompose(tau, len(p1.rho.out_dims) - 1,
                                  len(p1.rho.in_dims))
@@ -317,7 +316,7 @@ def equiv_certificate(p1: DecompPair, p2: DecompPair,
                          allow_contraction=True)
         discard1, slide1, sigma1 = _onto_frame(p1, frame, minimal.rho, tol)
         discard2, slide2, sigma2 = _onto_frame(p2, frame, minimal.rho, tol)
-        if float(np.linalg.norm(sigma1.J - sigma2.J)) > tol * scale:
+        if not within(magnitude(sigma1.J - sigma2.J), tol, scale):
             return Certificate(ok=False, steps=[],
                                reason="certificate unavailable: teeth "
                                       "disagree on the common frame")
@@ -334,8 +333,8 @@ def equiv_certificate(p1: DecompPair, p2: DecompPair,
             steps.append(SlideStep(channel=chan, direction=direction, kind=kind,
                                    residual=max(resid, drift), pair_after=after))
         final = steps[-1].pair_after if steps else p1
-        end_gap = float(np.linalg.norm(recompose(final).J - recompose(p2).J)) / scale
-        if end_gap > tol:
+        end_gap = magnitude(recompose(final).J - recompose(p2).J) / scale
+        if not within(end_gap, tol):
             return Certificate(ok=False, steps=[],
                                reason=f"certificate unavailable: chain drifts "
                                       f"by {end_gap:.3e}")

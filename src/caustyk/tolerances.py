@@ -1,8 +1,11 @@
-"""Numerical tolerance pack.
+"""Numerical tolerance pack and the one rule every verdict decides by.
 
 All thresholds live here so that the whole stack can be loosened or tightened
 coherently. The environment variable ``CAUSTYK_TOL`` overrides the base
 subspace tolerance (default 1e-9); the remaining thresholds scale with it.
+
+Every tolerance gate in the package is :func:`within`, and the norms that feed
+one are :func:`magnitude`, so that an overflow never decides a verdict.
 """
 
 from __future__ import annotations
@@ -10,6 +13,8 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, fields
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -62,3 +67,23 @@ def _from_env() -> Tolerances:
 
 
 TOLS = _from_env()
+
+
+def within(value: float, tol: float, scale: float = 1.0) -> bool:
+    """Whether ``value <= tol * max(scale, 1)``. A NaN value or scale fails,
+    and so does an infinite bound: a scale that overflowed leaves none."""
+    bound = tol * max(scale, 1.0)      # max keeps a NaN scale: it is the first argument
+    return bool(bound < math.inf and value <= bound)
+
+
+def magnitude(x, axis: int | None = None):
+    """Frobenius norm of ``x``, or of each slice along ``axis``; where numpy's
+    norm overflows it is taken again on the entries divided by their largest
+    modulus (Higham, *Accuracy and Stability of Numerical Algorithms*, 27.5)."""
+    n = np.linalg.norm(x, axis=axis)
+    if (n == math.inf).any():
+        top = np.max(np.abs(x), axis=axis, keepdims=True)
+        with np.errstate(invalid="ignore"):     # 0/0 and inf/inf, in slices not kept
+            scaled = np.squeeze(top, axis) * np.linalg.norm(x / top, axis=axis)
+        n = np.where(np.isinf(n) & np.isfinite(scaled), scaled, n)
+    return float(n) if axis is None else n

@@ -565,6 +565,18 @@ class TestMorphisms:
         with pytest.raises(ShapeMismatchError):
             check_morphism(f, mk_first_order(4), mk_first_order(2))
 
+    def test_overflowing_non_cp_map_fails_cp(self):
+        # |J| overflows numpy's norm; the CP floor, scaled by magnitude, stays finite
+        f = ChoiMap((2,), (2,), -1e300 * cup_state(2), validate=False)
+        with pytest.raises(MorphismError) as err:
+            check_morphism(f, mk_first_order(2), mk_first_order(2))
+        assert err.value.reason == "cp"
+        assert err.value.residual == pytest.approx(2e300)
+
+    def test_overflowing_state_is_not_a_member(self):
+        with np.errstate(over="ignore"):
+            assert not member(mk_first_order(2), 1e300 * np.eye(2))
+
     @pytest.mark.parametrize("case", ["FO(2)->FO(3)", "chan->[FO(2),FO(3)]"])
     def test_pushed_points_match_apply(self, chan, case, monkeypatch):
         # the points check_morphism measures against the target hull are the

@@ -37,6 +37,13 @@ def run(capsys, *argv):
     return code, doc
 
 
+def strict_json(out: str):
+    """Parse stdout as strict JSON: NaN and Infinity are not JSON."""
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+    return json.loads(out, parse_constant=reject)
+
+
 def identity_choi() -> ChoiMap:
     return ChoiMap((2,), (2,), cup_state(2).astype(complex))
 
@@ -401,6 +408,21 @@ class TestDecompose:
         assert code == 1 and doc["reason"] == "not_one_way"
         assert doc["residual"] > 0.1
 
+    def test_overflowing_one_way_channel_warns_nothing(self, capsys, tmp_path, rng):
+        tau = recompose(random_decomp_pair(rng, 2, 2))
+        path = tmp_path / "big.json"
+        save_choi(str(path), ChoiMap(tau.out_dims, tau.in_dims, 1e200 * tau.J,
+                                     validate=False))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")     # a process prints these on stderr
+            code = main(["decompose", f"{HOMS}<{HOMS}", str(path)])
+        out, err = capsys.readouterr()
+        assert caught == [] and code in (1, 3)
+        assert all(line.startswith(("error:", "numerical inconsistency:"))
+                   for line in err.splitlines())
+        if out:
+            strict_json(out)
+
     def test_inconsistent_input_exits_three(self, capsys, tmp_path):
         path = tmp_path / "c.json"
         save_choi(str(path), inconsistent_comb_choi())
@@ -547,6 +569,18 @@ class TestReconstruct:
         code, doc = run(capsys, "reconstruct", "FO(2)", "FO(2)",
                         "--probe-script", script, "--seed", "3")
         assert code == 1 and doc["status"] == "not_natural"
+
+    def test_overflowing_morphism_prints_strict_json(self, capsys, tmp_path):
+        big = {"in_dims": [2], "out_dims": [2],
+               "J": complex_to_json(1e300 * cup_state(2))}
+        script = self.write_script(tmp_path, {"mode": "morphism", "choi": big})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")     # a process prints these on stderr
+            code = main(["reconstruct", "FO(2)", "FO(2)", "--probe-script", script])
+        out, err = capsys.readouterr()
+        doc = strict_json(out)
+        assert code == 1 and err == "" and caught == []
+        assert doc["status"] == "not_in_image" and doc["counterexample"]["kind"] == "affine"
 
     def test_payload_dims_checked(self, capsys, tmp_path):
         script = self.write_script(

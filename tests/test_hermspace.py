@@ -22,6 +22,7 @@ from caustyk.errors import (
     ShapeMismatchError,
 )
 import caustyk
+from caustyk.causobj import CausObject
 from caustyk.hermspace import (
     AffineSubspace,
     _complement,
@@ -394,14 +395,13 @@ class TestAffineSubspace:
             point.intersect_linear(z[None, :], np.array([1.0]))
 
     def test_scalar_identity_of_trace_plane(self):
-        lam, resid = trace_one_plane(3).solve_scalar_identity()
-        assert abs(lam - 1.0 / 3.0) < 1e-12
-        assert resid < 1e-12
+        # the unit-trace plane's min-norm point is I/3: a type reads lam off it
+        assert abs(CausObject((3,), trace_one_plane(3)).flat_lambda - 1.0 / 3.0) < 1e-12
 
     def test_scalar_identity_rejects_nonflat(self):
         w = AffineSubspace.from_span(np.eye(2) / 2, list(coords_to_herm(np.eye(4), 2)))
         with pytest.raises(FlatnessError):
-            w.solve_scalar_identity()
+            CausObject((2,), w)
 
     def test_conjugation_moves_hull_onto_itself(self):
         w = trace_one_plane(2)

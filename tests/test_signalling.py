@@ -291,6 +291,15 @@ class TestDecompose:
                 comb_decompose(random_twoway_channel(rng), 1, 1)
             assert err.value.residual > 1e-6
 
+    @pytest.mark.parametrize("scale", [1e200, 1e300])
+    def test_overflowing_twoway_rejected(self, rng, scale):
+        # the steering residual is relative: scaling the channel leaves it finite
+        tau = random_twoway_channel(rng)
+        big = ChoiMap(tau.out_dims, tau.in_dims, scale * tau.J, validate=False)
+        with np.errstate(over="ignore"), pytest.raises(NotOneWayError) as err:
+            comb_decompose(big, 1, 1)
+        assert 1e-6 < err.value.residual < 10
+
     def test_swap_rejected(self):
         sw = structural("swap", 2, 2)
         with pytest.raises(NotOneWayError):

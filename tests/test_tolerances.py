@@ -1,0 +1,170 @@
+"""The one decision rule, and a guard that every tolerance gate goes through it."""
+
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import caustyk
+from caustyk.tolerances import magnitude, within
+
+SRC = Path(caustyk.__file__).parent
+
+# Comparisons against a tolerance that are not verdicts, by (module,
+# function): how many the function holds, and why each stays a bare cut.
+ALLOWED = {
+    ("cpmaps", "stinespring"): (1, "keep mask: the Choi eigenvalues that become Kraus operators"),
+    ("cpmaps", "support_projector"): (1, "rank cut: the eigenvectors that span the support"),
+    ("signalling", "comb_decompose"): (1, "inverse cut: the env-marginal eigenvalues inverted"),
+    ("hermspace", "_orthonormalize"): (1, "rank cut of a constructor only tests and the tracer use"),
+    ("hermspace", "from_constraints"): (2, "rank cut and consistency gate, as above"),
+    ("hermspace", "intersect_linear"): (2, "consistency gate and rank cut, as above"),
+    ("embedding", "law_suite"): (1, "the faithfulness trial redraws maps: a sampling rule"),
+}
+
+_NOT_ORDERING = (ast.Is, ast.IsNot, ast.In, ast.NotIn)
+
+
+def _own_nodes(fn):
+    """Nodes of a function body, without those of the functions nested in it."""
+    todo = list(fn.body)
+    while todo:
+        node = todo.pop()
+        yield node
+        todo.extend(child for child in ast.iter_child_nodes(node)
+                    if not isinstance(child, (ast.FunctionDef, ast.ClassDef)))
+
+
+_ARITHMETIC = ("max", "min", "abs", "float")
+
+
+def _reads(node, names) -> bool:
+    """Whether ``node`` computes with a ``TOLS`` field, a ``*_TOL`` constant
+    or one of ``names``; a tolerance passed on to another call is that
+    call's to decide with, unless the call is plain arithmetic."""
+    todo = [node]
+    while todo:
+        sub = todo.pop()
+        if (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+                and sub.value.id == "TOLS"):
+            return True
+        if isinstance(sub, ast.Name) and (sub.id in names or sub.id.endswith("_TOL")):
+            return True
+        if (isinstance(sub, ast.Call)
+                and not (isinstance(sub.func, ast.Name) and sub.func.id in _ARITHMETIC)):
+            todo.append(sub.func)
+        else:
+            todo.extend(ast.iter_child_nodes(sub))
+    return False
+
+
+def _assigned(node):
+    """``(target name, value)`` pairs of an assignment, tuples unpacked pairwise."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)) and node.value is not None:
+        targets = [node.target]
+    else:
+        return
+    for target in targets:
+        if (isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
+                and len(target.elts) == len(node.value.elts)):
+            yield from ((t.id, v) for t, v in zip(target.elts, node.value.elts)
+                        if isinstance(t, ast.Name))
+        else:
+            yield from ((t.id, node.value) for t in ast.walk(target)
+                        if isinstance(t, ast.Name))
+
+
+def tolerance_compares(source: str) -> dict:
+    """Per function, the lines of comparisons whose operands read a tolerance:
+    a ``TOLS`` field, a ``*_TOL`` constant, a name ``tol``, or a local name
+    assigned from one of those."""
+    found = {}
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        nodes = list(_own_nodes(fn))
+        tainted, grew = {"tol"}, True
+        while grew:
+            grew = False
+            for node in nodes:
+                for name, value in _assigned(node):
+                    if name not in tainted and _reads(value, tainted):
+                        tainted.add(name)
+                        grew = True
+        for node in nodes:
+            if (isinstance(node, ast.Compare)
+                    and not all(isinstance(op, _NOT_ORDERING) for op in node.ops)
+                    and _reads(node, tainted)):
+                found.setdefault(fn.name, []).append(node.lineno)
+    return found
+
+
+def test_every_tolerance_gate_is_within():
+    flagged, seen = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "tolerances.py":
+            continue
+        for fn, lines in tolerance_compares(path.read_text(encoding="utf-8")).items():
+            key = (path.stem, fn)
+            if key in ALLOWED and len(lines) == ALLOWED[key][0]:
+                seen.add(key)
+            else:
+                flagged.append(f"{path.name}:{fn} lines {sorted(lines)}")
+    assert flagged == [], "compare through tolerances.within, or allowlist with a reason"
+    assert seen == set(ALLOWED), f"stale allowlist entries: {set(ALLOWED) - seen}"
+
+
+def test_guard_sees_the_idioms_it_replaces():
+    src = ("def f(x, tol):\n"
+           "    if x > tol: pass\n"
+           "def g(x):\n"
+           "    bound = TOLS.sub * 10\n"
+           "    return bound < np.inf and x <= bound\n"
+           "def h(r):\n"
+           "    return r <= SQUARE_TOL\n"
+           "def ok(x, tol=None):\n"
+           "    tol = TOLS.sub if tol is None else tol\n"
+           "    return within(x, tol)\n")
+    assert tolerance_compares(src) == {"f": [2], "g": [5, 5], "h": [7]}
+
+
+class TestWithin:
+    def test_bound_is_tol_times_scale_at_least_one(self):
+        assert within(1e-9, 1e-9) and not within(1.1e-9, 1e-9)
+        assert within(1e-9, 1e-9, scale=0.5)
+        assert within(3e-9, 1e-9, scale=3.0) and not within(3e-9, 1e-9, scale=2.0)
+        assert within(0.0, 0.0) and not within(1e-300, 0.0)
+
+    @pytest.mark.parametrize("value, tol, scale", [
+        (np.nan, 1.0, 1.0),         # a NaN measurement
+        (0.0, 1.0, np.nan),         # a NaN scale
+        (0.0, 1.0, np.inf),         # an overflowed scale leaves no bound
+        (0.0, 0.0, np.inf),         # 0 * inf is NaN
+        (np.inf, 1.0, 1.0),
+    ])
+    def test_nan_and_infinite_bounds_fail(self, value, tol, scale):
+        assert within(value, tol, scale) is False
+
+
+class TestMagnitude:
+    def test_equals_numpy_norm_where_finite(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(5, 7)) + 1j * rng.normal(size=(5, 7))
+        assert magnitude(x) == np.linalg.norm(x)
+        assert np.array_equal(magnitude(x, axis=1), np.linalg.norm(x, axis=1))
+
+    def test_overflowing_norm_is_rescaled(self):
+        with np.errstate(over="ignore"):
+            big = -1e300 * np.eye(4, dtype=complex)
+            assert magnitude(big) == pytest.approx(2e300, rel=1e-15)
+            rows = np.array([[1e300, 1e300], [3.0, 4.0], [0.0, 0.0]])
+            assert magnitude(rows, axis=1) == pytest.approx([np.sqrt(2) * 1e300, 5.0, 0.0])
+
+    def test_only_an_unrepresentable_norm_is_infinite(self):
+        with np.errstate(over="ignore"):
+            assert magnitude(np.full(4, 1e308)) == np.inf
+            assert magnitude(np.array([np.inf, 1.0])) == np.inf
+            assert np.isnan(magnitude(np.array([np.nan, 1e308, 1e308])))
