@@ -18,8 +18,8 @@ from .cpmaps import ChoiMap, regroup, structural, transpose_channel
 from .errors import (FlatnessError, HermiticityError, InvalidDimensionError,
                      MorphismError, ShapeMismatchError)
 from .hermspace import (AffineSubspace, check_hermitian, coords_to_herm,
-                        herm_to_coords, kron_rows, matricize, min_eig,
-                        psd_test, vec_identity)
+                        herm_to_coords, kron_rows, matricize, psd_test,
+                        vec_identity)
 from .tolerances import TOLS, magnitude, within
 
 
@@ -46,9 +46,9 @@ class CausObject:
         self._effects = effects
         self.label = label
         # closed: the states share one trace, so the min-norm point is lam * I, lam > 0
-        base, eye = states.base_vec(), vec_identity(self.dim)
-        lam = float(base @ eye) / self.dim
-        resid = magnitude(base - lam * eye)
+        base = states.base_vec()
+        lam = float(base[0])
+        resid = magnitude(base - lam * vec_identity(self.dim))
         if within(lam, TOLS.sub) or not within(resid, 1e3 * TOLS.sub, lam):
             raise FlatnessError(
                 f"state hull of {label!r} has no flat state: its min-norm point is not "
@@ -92,7 +92,8 @@ def mk_first_order(d: int, *, label: str | None = None) -> CausObject:
     iv = vec_identity(d)
     rows = (iv / math.sqrt(d))[None, :]
     vals = np.array([1.0 / math.sqrt(d)])
-    states = AffineSubspace(d, cons=rows, vals=vals)
+    # the base point I/d is stored: rows.T @ vals rounds 1/sqrt(d) twice
+    states = AffineSubspace(d, base=iv / d, cons=rows, vals=vals)
     return CausObject((d,), states, label=label or f"FO({d})")
 
 
@@ -115,7 +116,7 @@ def mk_classical(n: int) -> CausObject:
     rows = np.concatenate([(iv / math.sqrt(n))[None, :], np.eye(m)[n:]], axis=0)
     vals = np.zeros(rows.shape[0])
     vals[0] = 1.0 / math.sqrt(n)
-    states = AffineSubspace(n, cons=rows, vals=vals)
+    states = AffineSubspace(n, base=iv / n, cons=rows, vals=vals)
     return CausObject((n,), states, label=f"CLA({n})")
 
 
@@ -248,25 +249,17 @@ def seq_obj(a: CausObject, b: CausObject) -> CausObject:
 
 # -- membership and morphisms -------------------------------------------------
 
-def _gated(mat: np.ndarray, dim: int, tol: float | None) -> tuple[np.ndarray, float, bool]:
-    """Gate a verdict's matrix once, where ``psd_check`` and ``contains`` would
-    (``TOLS.psd == TOLS.sub``); return it, its least eigenvalue and whether it is PSD."""
-    mat = check_hermitian(mat, tol=max(TOLS.herm, TOLS.sub if tol is None else tol))
-    if mat.shape[0] != dim:
-        raise ShapeMismatchError(f"state of dim {mat.shape[0]} offered to type of dim {dim}")
-    return (mat, *psd_test(mat, tol))
-
-
 def member(obj: CausObject, mat: np.ndarray, tol: float | None = None) -> bool:
     """Is ``mat`` a state of ``obj``: positive semidefinite and on the hull."""
-    mat, _, psd = _gated(mat, obj.dim, tol)
-    return psd and obj.states.contains_vec(herm_to_coords(mat), tol)
+    mat = check_hermitian(mat, TOLS.sub if tol is None else tol, dim=obj.dim)
+    return psd_test(mat, tol)[1] and obj.states.contains_vec(herm_to_coords(mat), tol)
 
 
 def membership_report(obj: CausObject, mat: np.ndarray,
                       tol: float | None = None) -> dict:
     """The verdict of :func:`member` with the two measurements that decide it."""
-    mat, low, psd = _gated(mat, obj.dim, tol)
+    mat = check_hermitian(mat, TOLS.sub if tol is None else tol, dim=obj.dim)
+    low, psd = psd_test(mat, tol, report=True)
     x = herm_to_coords(mat)
     return {
         "member": psd and obj.states.contains_vec(x, tol),
@@ -285,7 +278,7 @@ def check_morphism(f: ChoiMap, a: CausObject, b: CausObject,
     tol = TOLS.sub if tol is None else tol
     adj = f.J.conj().T          # the one adjoint: both gates below read it
     try:
-        check_hermitian(f.J, tol=max(TOLS.herm, tol), adjoint=adj)
+        check_hermitian(f.J, tol, adjoint=adj)
     except HermiticityError as err:
         defect = float(np.max(np.abs(f.J - adj)))
         raise MorphismError(f"map is not Hermiticity preserving: {err}",
@@ -293,25 +286,10 @@ def check_morphism(f: ChoiMap, a: CausObject, b: CausObject,
     if f.d_in != a.dim or f.d_out != b.dim:
         raise ShapeMismatchError(
             f"map has shape {f.d_in}->{f.d_out}, types have {a.dim}->{b.dim}")
-    cp_tol, scale = max(TOLS.psd, tol), magnitude(f.J)
-    floor = cp_tol * max(scale, 1.0)
-    # a Cholesky factor of H + floor I proves min eig(H) >= -floor for the
-    # Hermitian part H that min_eig reads (cholesky sees one triangle only);
-    # the spectrum is computed only to decide and report a map that fails it;
-    # each half is taken before the sum, so no entry overflows in it
-    h = f.J / 2.0
-    adj /= 2.0
-    h += adj
-    del adj
-    h.reshape(-1)[::len(h) + 1] += floor
-    try:
-        np.linalg.cholesky(h)
-    except np.linalg.LinAlgError:
-        me = min_eig(f.J)
-        if not within(-me, cp_tol, scale):
-            raise MorphismError(
-                f"map is not completely positive (min Choi eigenvalue {me:.3e})",
-                reason="cp", residual=-me) from None
+    me, cp = psd_test(f.J, max(TOLS.psd, tol), "frobenius", adjoint=adj)
+    if not cp:
+        raise MorphismError(f"map is not completely positive (min Choi eigenvalue {me:.3e})",
+                            reason="cp", residual=-me)
     di, do = f.d_in, f.d_out
     mats = coords_to_herm(a.states.affine_points(), di)
     # Phi(rho)[t, u] = sum_{s, v} J[(t, s), (u, v)] rho[s, v]: one GEMM for all points
@@ -347,8 +325,8 @@ def _pairs_to_one(x: np.ndarray, c: np.ndarray, a: CausObject, b: CausObject) ->
 
 def par_member(x: np.ndarray, a: CausObject, b: CausObject) -> bool:
     """Membership in the par composite without building the composite type."""
-    x, _, psd = _gated(x, a.dim * b.dim, TOLS.sub)
-    if not psd:
+    x = check_hermitian(x, TOLS.sub, dim=a.dim * b.dim)
+    if not psd_test(x, TOLS.sub)[1]:
         return False
     if a.dim == 1 or b.dim == 1:
         return (b if a.dim == 1 else a).states.contains_vec(herm_to_coords(x), TOLS.sub)
@@ -359,8 +337,8 @@ def seq_member(x: np.ndarray, a: CausObject, b: CausObject) -> bool:
     """Membership in the one-way composite without building the composite type."""
     if b.first_order or a.dim == 1 or b.dim == 1:
         return par_member(x, a, b)
-    x, _, psd = _gated(x, a.dim * b.dim, TOLS.sub)
-    if not psd:
+    x = check_hermitian(x, TOLS.sub, dim=a.dim * b.dim)
+    if not psd_test(x, TOLS.sub)[1]:
         return False
     c = matricize(x, a.dim, b.dim)
     if not _pairs_to_one(x, c, a, b):

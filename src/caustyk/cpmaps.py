@@ -31,7 +31,7 @@ from .errors import (
     ShadowNotFoundError,
     ShapeMismatchError,
 )
-from .hermspace import check_hermitian, min_eig, psd_check, psd_test
+from .hermspace import check_hermitian, psd_check, psd_test
 from .tolerances import TOLS, magnitude, within
 
 
@@ -315,7 +315,7 @@ class Isometry:
         if not within(dev, TOLS.psd, float(np.max(np.abs(gram)))):
             if not allow_contraction:
                 raise InconsistencyError(f"matrix is not an isometry (deviation {dev:.3e})")
-            if not within(-min_eig(np.eye(self.in_dim) - gram), TOLS.psd):
+            if not psd_test(np.eye(self.in_dim) - gram, TOLS.psd, "unit")[1]:
                 raise InconsistencyError("matrix is not even a contraction")
         self.v = v
         self.isometric_defect = dev

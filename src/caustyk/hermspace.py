@@ -35,11 +35,16 @@ as a first-order type's trace row or the value vector the dual completes (a
 Householder reflector). A general ``1 < k < m`` is the tail of a complete
 numpy QR of the rows' transpose; as the rows are orthonormal, no rank is
 decided. numpy is the package's only dependency.
+
+Every positivity verdict (a state, a completely positive map, a comb's
+second tooth, a contraction) is :func:`psd_test`, a Cholesky certificate
+that falls back to the spectrum.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -66,20 +71,25 @@ def check_dimension(n: int) -> int:
 
 
 def check_hermitian(mat: np.ndarray, tol: float | None = None,
-                    adjoint: np.ndarray | None = None) -> np.ndarray:
-    """Validate Hermiticity and return the matrix as a complex array.
-
-    A caller that needs ``mat.conj().T`` anyway passes it as ``adjoint``.
-    """
+                    adjoint: np.ndarray | None = None, dim: int | None = None) -> np.ndarray:
+    """Validate Hermiticity within ``max(TOLS.herm, tol)`` (and the dimension,
+    if given); return the matrix as a complex array. A caller that needs
+    ``mat.conj().T`` anyway passes it as ``adjoint``."""
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ShapeMismatchError(f"expected a square matrix, got shape {mat.shape}")
-    tol = TOLS.herm if tol is None else tol
+    tol = TOLS.herm if tol is None else max(TOLS.herm, tol)
     adjoint = mat.conj().T if adjoint is None else adjoint
     dev = float(np.max(np.abs(mat - adjoint), initial=0.0))
-    if not within(dev, tol, float(np.max(np.abs(mat), initial=0.0))):
+    if not within(dev, tol, _largest(mat)):
         raise HermiticityError(f"matrix deviates from Hermiticity by {dev:.3e}")
+    if dim is not None and mat.shape[0] != dim:
+        raise ShapeMismatchError(f"matrix of dim {mat.shape[0]} where dim {dim} is expected")
     return mat
+
+
+def _largest(mat: np.ndarray) -> float:
+    return float(np.max(np.abs(mat), initial=0.0))
 
 
 @functools.lru_cache(maxsize=64)
@@ -224,18 +234,47 @@ def min_eig(mat: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(half + half.conj().T)[0])
 
 
-def psd_test(mat: np.ndarray, tol: float | None = None) -> tuple[float, bool]:
-    """Least eigenvalue of a gated Hermitian matrix, and whether it clears
-    ``-tol * max(max|mat|, 1)`` (``tol`` defaults to ``TOLS.psd``)."""
+_SCALES = {"entry": _largest, "frobenius": magnitude, "unit": lambda mat: 0.0}
+
+
+def psd_test(mat: np.ndarray, tol: float | None = None, scale: str = "entry", *,
+             adjoint: np.ndarray | None = None, report: bool = False) -> tuple[float, bool]:
+    """The one positivity decision: the least eigenvalue of a gated Hermitian
+    matrix and whether it clears ``-floor = -tol * max(s, 1)`` (``tol``
+    defaults to ``TOLS.psd``), ``s`` the largest entry, the Frobenius norm
+    or 0 as ``scale`` is ``"entry"``, ``"frobenius"`` or ``"unit"``.
+
+    A Cholesky factor of ``H + floor I``, ``H`` the Hermitian part that
+    :func:`min_eig` reads (from ``adjoint``, ``mat^dagger``, when the caller
+    holds it), certifies the matrix. Only a matrix that fails that is
+    decided by its spectrum; else the eigenvalue is NaN unless ``report``
+    asks for it. A matrix whose floor or sums would overflow is decided on
+    its entries divided by the largest (Higham, *Accuracy and Stability*,
+    27.5)."""
     tol = TOLS.psd if tol is None else tol
-    low = min_eig(mat)
-    return low, within(-low, tol, float(np.max(np.abs(mat), initial=0.0)))
+    mat = np.asarray(mat, dtype=complex)
+    norm = _SCALES[scale]
+    s = norm(mat)
+    floor, div = tol * max(s, 1.0), 1.0
+    top = s if scale != "unit" else _largest(mat)      # s bounds every entry
+    if not math.isfinite(2.0 * top + floor):            # else mat + adjoint may overflow
+        div = _largest(mat)     # divided as floats: a complex division is not exact
+        mat, adjoint = (np.ascontiguousarray(mat).view(float) / div).view(complex), None
+        floor = tol * max(norm(mat), 1.0 / div)
+    h = mat + (mat.conj().T if adjoint is None else adjoint)
+    h /= 2.0                            # exact, so h is the H that min_eig reads
+    h.flat[::len(h) + 1] += floor       # in any memory layout
+    try:
+        np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        low = min_eig(mat)
+        return low * div, within(-low, floor)
+    return (min_eig(mat) * div if report else math.nan), True
 
 
 def psd_check(mat: np.ndarray, tol: float | None = None) -> bool:
     """Whether the matrix is positive semidefinite within tolerance."""
-    tol = TOLS.psd if tol is None else tol
-    return psd_test(check_hermitian(mat, tol=max(tol, TOLS.herm)), tol)[1]
+    return psd_test(check_hermitian(mat, TOLS.psd if tol is None else tol), tol)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +326,8 @@ class AffineSubspace:
     Span form: ``{base + directions^T t}`` with ``base`` the minimum-norm point
     (so ``base`` is orthogonal to the directions) and orthonormal direction
     rows. Constraint form: ``{x : cons @ x = vals}`` with orthonormal
-    constraint rows. At least one form is always present; the other is derived
-    on demand and cached.
+    constraint rows (and the base point, if its builder has it exactly). One
+    form is always present; the other is derived on demand and cached.
     """
 
     def __init__(self, matrix_dim: int, *, base: np.ndarray | None = None,
@@ -310,9 +349,7 @@ class AffineSubspace:
         """Build from a base-point matrix and direction matrices (canonicalized)."""
         base_mat = check_hermitian(base_mat)
         n = base_mat.shape[0]
-        dir_list = [check_hermitian(d) for d in dir_mats]
-        if any(d.shape != (n, n) for d in dir_list):
-            raise ShapeMismatchError("direction matrices must match the base dimension")
+        dir_list = [check_hermitian(d, dim=n) for d in dir_mats]
         dirs = _orthonormalize(
             herm_to_coords(np.stack(dir_list)) if dir_list else np.zeros((0, n * n)), n * n)
         base = herm_to_coords(base_mat)
@@ -408,8 +445,8 @@ class AffineSubspace:
 
     def distance(self, x: np.ndarray) -> float:
         if self._cons is not None:
-            return float(np.linalg.norm(self._cons @ x - self._vals))
-        return float(np.linalg.norm(x - self.project_vec(x)))
+            return magnitude(self._cons @ x - self._vals)
+        return magnitude(x - self.project_vec(x))
 
     def distances(self, xs: np.ndarray) -> np.ndarray:
         """Per-row distances for a batch of coordinate vectors, shape (k, m)."""
@@ -425,10 +462,7 @@ class AffineSubspace:
         return within(self.distance(x), TOLS.sub if tol is None else tol, magnitude(x))
 
     def contains(self, mat: np.ndarray, tol: float | None = None) -> bool:
-        mat = check_hermitian(mat, tol=max(TOLS.herm, TOLS.sub if tol is None else tol))
-        if mat.shape[0] != self.matrix_dim:
-            raise ShapeMismatchError(
-                f"matrix dim {mat.shape[0]} does not match subspace dim {self.matrix_dim}")
+        mat = check_hermitian(mat, TOLS.sub if tol is None else tol, dim=self.matrix_dim)
         return self.contains_vec(herm_to_coords(mat), tol)
 
     def dual(self) -> "AffineSubspace":

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .causobj import (CausMorphism, CausObject, dual_obj, hom_obj, mk_classical,
-                      mk_first_order, par_obj, seq_obj, tensor_obj)
+from .causobj import CausMorphism, CausObject, mk_first_order, tensor_obj
 from .cpmaps import ChoiMap, choi_of_kraus, regroup, structural, transpose_channel
-from .errors import CaustykError, InconsistencyError
-from .hermspace import coords_to_herm, herm_to_coords, min_eig
+from .errors import InconsistencyError
+from .hermspace import coords_to_herm, herm_to_coords, min_eig, psd_test
 from .signalling import DecompPair, med_precompose, recompose
-from .tolerances import TOLS, within
+from .tolerances import TOLS
 
 
 def rng_from(seed) -> np.random.Generator:
@@ -68,7 +67,7 @@ def sample_member(obj: CausObject, rng) -> np.ndarray:
         cand = (1.0 - t) * mat + t * flat
         s = rng.uniform(0.15, 0.95)
         out = flat + s * (cand - flat)
-        if within(-min_eig(out), TOLS.psd):
+        if psd_test(out, TOLS.psd, "unit")[1]:
             return out
     raise InconsistencyError(f"could not sample a state of {obj.label!r}")
 
@@ -83,33 +82,6 @@ def random_first_order(rng) -> CausObject:
     for d in dims[1:]:
         obj = tensor_obj(obj, mk_first_order(d))
     return obj
-
-
-def _random_atom(rng) -> CausObject:
-    if rng.uniform() < 0.2:
-        return mk_classical(int(rng.integers(2, 4)))
-    return mk_first_order(int(rng.integers(1, 4)))
-
-
-def random_object(rng, *, max_dim: int = 16, depth: int = 3) -> CausObject:
-    """A random type built from atoms and all five connectives, dim bounded."""
-    if depth <= 0 or rng.uniform() < 0.3:
-        return _random_atom(rng)
-    kind = rng.choice(["dual", "tensor", "par", "seq", "hom"])
-    if kind == "dual":
-        return dual_obj(random_object(rng, max_dim=max_dim, depth=depth - 1))
-    a = random_object(rng, max_dim=max_dim, depth=depth - 1)
-    budget = max_dim // max(1, a.dim)
-    if budget < 1:
-        return a
-    b = random_object(rng, max_dim=budget, depth=depth - 1)
-    if a.dim * b.dim > max_dim:
-        b = mk_first_order(1)
-    build = {"tensor": tensor_obj, "par": par_obj, "seq": seq_obj, "hom": hom_obj}
-    try:
-        return build[kind](a, b)
-    except CaustykError:
-        return a
 
 
 # -- two-party channel fixtures -------------------------------------------------

@@ -18,7 +18,7 @@ from .cpmaps import (ChoiMap, Isometry, act_on_factors, choi_of_kraus,
                      transpose_channel)
 from .errors import (HermiticityError, InconsistencyError, NoIsometryError,
                      NotOneWayError, ShapeMismatchError)
-from .hermspace import check_hermitian, min_eig
+from .hermspace import check_hermitian, min_eig, psd_test
 from .tolerances import TOLS, magnitude, within
 
 
@@ -180,12 +180,11 @@ def comb_decompose(tau: ChoiMap, n_out_a: int, n_in_a: int,
     # then pre-composes X -> r_inv X r_inv^dagger on the env input, r_inv the
     # inverse env marginal. Both fold into n = r_inv m, m[e, (a, i)] = V[(a, e), i],
     # contracted with the row and the column index of tau by one GEMM each.
+    # The env marginal m m^dagger is diagonal, holding the kept Choi
+    # eigenvalues (the Kraus operators are orthogonal), so n divides each row
+    # of m by its squared norm.
     m = iso.v.reshape(d_ao, env, d_ai).transpose(1, 0, 2).reshape(env, d_ao * d_ai)
-    vals, vecs = np.linalg.eigh(m @ m.conj().T)      # env marginal
-    # well below stinespring's keep floor (TOLS.psd), so no kept direction is cut
-    cut = max(float(vals[-1]), 1.0) * TOLS.psd * 1e-3
-    inv_vals = np.where(vals > cut, 1.0 / np.maximum(vals, cut), 0.0)
-    n = ((vecs * inv_vals) @ vecs.conj().T) @ m
+    n = m / np.einsum('ij,ij->i', m.conj(), m).real[:, None]
     # sigma[(w, e, b), (g, f, c)] = sum n*[e, (a, i)] tau[(a, w, i, b), (p, g, j, c)] n[f, (p, j)]
     j8 = tau.J.reshape(d_ao, d_w, d_ai, d_bi, d_ao, d_w, d_ai, d_bi)
     half = n.conj() @ j8.transpose(0, 2, 1, 3, 4, 5, 6, 7).reshape(d_ao * d_ai, -1)
@@ -195,8 +194,8 @@ def comb_decompose(tau: ChoiMap, n_out_a: int, n_in_a: int,
     sigma = ChoiMap(b_out, (env,) + b_in,
                     check_hermitian(c6.transpose(0, 1, 2, 3, 5, 4).reshape(d_s, d_s),
                                     tol=TOLS.decomp), validate=False)
-    me = min_eig(sigma.J)
-    if not within(-me, max(TOLS.psd, tol), magnitude(sigma.J)):
+    me, positive = psd_test(sigma.J, max(TOLS.psd, tol), "frobenius")
+    if not positive:
         raise InconsistencyError(
             f"second tooth came out non-positive (min eig {me:.3e}); "
             "the steering construction cannot produce this for consistent input")

@@ -23,10 +23,9 @@ from caustyk.errors import InconsistencyError, NotOneWayError
 from caustyk.sampling import (pad_pair, random_channel_supermap,
                               random_coarse_graining, random_comb_relaxation,
                               random_cptp, random_decomp_pair, random_density,
-                              random_first_order, random_object,
-                              random_oneway_channel, random_state_morphism,
-                              random_twoway_channel, random_unitary, rng_from,
-                              rotate_pair, sample_member)
+                              random_first_order, random_oneway_channel,
+                              random_state_morphism, random_twoway_channel,
+                              random_unitary, rng_from, rotate_pair, sample_member)
 from caustyk.signalling import (coend_equiv, comb_decompose, equiv_certificate,
                                 party_choi, party_name, recompose)
 
@@ -51,7 +50,7 @@ def subspace_gap(s, t) -> float:
     return worst
 
 
-def test_double_dual_is_identity(criterion):
+def test_double_dual_is_identity(criterion, random_object):
     rng = rng_from(101)
     worst = 0.0
     for _ in range(500):

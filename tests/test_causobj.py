@@ -23,7 +23,7 @@ from caustyk.errors import (FlatnessError, HermiticityError, InvalidDimensionErr
 from caustyk import hermspace
 from caustyk.hermspace import (AffineSubspace, check_hermitian, coords_to_herm,
                                herm_to_coords, min_eig, psd_check)
-from caustyk.sampling import random_object, sample_member
+from caustyk.sampling import sample_member
 from caustyk.tolerances import TOLS
 
 
@@ -118,10 +118,16 @@ class TestAtoms:
         fo = mk_first_order(2)
         skew = np.array([[0.5, 5e-10j], [0.0, 0.5]])
         assert member(fo, skew)
-        monkeypatch.setattr("caustyk.causobj.min_eig",
+        monkeypatch.setattr("caustyk.causobj.psd_test",
                             lambda *args: pytest.fail("member's gate let it through"))
         with pytest.raises(HermiticityError):
             member(fo, skew, tol=0.0)
+
+    @pytest.mark.parametrize("make", [
+        mk_first_order, lambda d: mk_all_states(mk_first_order(d)), mk_classical],
+        ids=["FO", "ANY", "CLA"])
+    def test_flat_lambda_is_exactly_one_over_d(self, make):
+        assert [make(d).flat_lambda for d in range(1, 17)] == [1 / d for d in range(1, 17)]
 
     def test_all_states_of_channel_type_is_first_order(self, chan):
         alls = mk_all_states(chan)
@@ -330,7 +336,7 @@ def random_flat_type(rng, d):
 
 
 @pytest.fixture(scope="module")
-def type_pairs():
+def type_pairs(random_object):
     """200 seeded pairs of random types, both non-trivial, product dim <= 36."""
     rng = np.random.default_rng(36)
     pairs = []
@@ -551,14 +557,16 @@ class TestMorphisms:
 
     def test_cp_gate_skips_spectrum_on_psd_maps(self, monkeypatch):
         # the Cholesky certificate decides CP maps without computing the spectrum
-        calls = []
-        monkeypatch.setattr("caustyk.causobj.min_eig",
-                            lambda m: calls.append(m) or 0.0)
+        calls, factor = [], np.linalg.cholesky
+        monkeypatch.setattr("caustyk.hermspace.min_eig",
+                            lambda m: calls.append("min_eig") or 0.0)
+        monkeypatch.setattr("numpy.linalg.cholesky",
+                            lambda m: calls.append("cholesky") or factor(m))
         # a rank-one Choi matrix (the identity channel) and a generic channel
         for f in (choi_of_kraus([np.eye(2)], 2, 2),
                   random_cptp(np.random.default_rng(3), 2, 2)):
             check_morphism(f, mk_first_order(2), mk_first_order(2))
-        assert calls == []
+        assert calls == ["cholesky", "cholesky"]
 
     def test_dimension_mismatch(self, chan):
         f = structural("identity", 2)
@@ -572,6 +580,14 @@ class TestMorphisms:
             check_morphism(f, mk_first_order(2), mk_first_order(2))
         assert err.value.reason == "cp"
         assert err.value.residual == pytest.approx(2e300)
+
+    @pytest.mark.parametrize("sign, reason", [(-1.0, "cp"), (1.0, "affine")])
+    def test_cup_at_the_float_limit(self, sign, reason):
+        # |J| = 2e308 is not a float, so the CP gate decides on J / max|J|
+        f = ChoiMap((2,), (2,), sign * 1e308 * cup_state(2), validate=False)
+        with pytest.raises(MorphismError) as err:
+            check_morphism(f, mk_first_order(2), mk_first_order(2))
+        assert err.value.reason == reason
 
     def test_overflowing_state_is_not_a_member(self):
         with np.errstate(over="ignore"):
@@ -785,26 +801,32 @@ class TestOneGate:
             wrapped = counting(name, getattr(hermspace, name))
             for module in ("caustyk.causobj", "caustyk.hermspace"):
                 monkeypatch.setattr(f"{module}.{name}", wrapped)
-        monkeypatch.setattr("numpy.linalg.eigvalsh",
-                            counting("eigvalsh", np.linalg.eigvalsh))
+        monkeypatch.setattr("numpy.linalg.cholesky",
+                            counting("cholesky", np.linalg.cholesky))
+        monkeypatch.setattr("caustyk.hermspace.min_eig",
+                            counting("min_eig", hermspace.min_eig))
         return counts
 
     def test_one_pass_per_matrix(self, types, calls):
+        # one gate and one certificate per matrix; the spectrum only for the
+        # matrix that fails it, or for the report that prints it
         rng = np.random.default_rng(5)
         chan, s = types[3], types[4]
         good = sample_member(s, rng)
         w, v = np.linalg.eigh(good)
         bad = good - 2 * w[-1] * np.outer(v[:, -1], v[:, -1].conj())
         calls.clear()
-        for mat in (good, bad):
+        for mat, spectra in ((good, 0), (bad, 1)):
             member(s, mat)
-            assert calls["check_hermitian"] == calls["eigvalsh"] == 1
-            assert calls["herm_to_coords"] <= 1
+            assert calls["check_hermitian"] == calls["cholesky"] == 1
+            assert calls["min_eig"] == spectra and calls["herm_to_coords"] <= 1
             calls.clear()
             membership_report(s, mat)
-            assert calls == {"check_hermitian": 1, "eigvalsh": 1, "herm_to_coords": 1}
+            assert calls == {"check_hermitian": 1, "cholesky": 1, "min_eig": 1,
+                             "herm_to_coords": 1}
             calls.clear()
             for fn in (par_member, seq_member):
                 fn(mat, chan, chan)
-                assert calls["check_hermitian"] == calls["eigvalsh"] == 1
+                assert calls["check_hermitian"] == calls["cholesky"] == 1
+                assert calls["min_eig"] == spectra
                 calls.clear()

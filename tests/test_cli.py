@@ -233,8 +233,8 @@ class TestMember:
         assert code == 0 and doc["verdict"] is True
 
     def test_overflowing_measurements_print_null(self, capsys, tmp_path):
-        # the verdict stands; the measurement that overflows is not a number,
-        # and the least eigenvalue, halved before the sum, does not overflow
+        # the verdict stands; the least eigenvalue, halved before the sum, and
+        # the affine distance, rescaled where its plain norm overflows, are finite
         path = tmp_path / "big.json"
         save_matrix(str(path), np.diag([1e308, 1e308]).astype(complex))
         with warnings.catch_warnings(record=True) as caught:
@@ -248,7 +248,8 @@ class TestMember:
         doc = json.loads(out, parse_constant=reject)
         assert code == 1 and err == "" and caught == []
         assert doc["verdict"] is False
-        assert doc["min_eigenvalue"] == 1e308 and doc["affine_distance"] is None
+        assert doc["min_eigenvalue"] == 1e308
+        assert doc["affine_distance"] == pytest.approx(np.sqrt(2) * 1e308, rel=1e-15)
 
     def test_overflowing_cup_state_is_a_verdict(self, capsys, tmp_path):
         # its spectrum is [0, 0, 0, inf]: no LinAlgError, so no exit 2
@@ -306,6 +307,20 @@ class TestMorphism:
         save_choi(str(path), ChoiMap((2,), (2,), j, validate=False))
         code, doc = run(capsys, "morphism", "FO(2)", "FO(2)", str(path))
         assert code == 1 and doc["reason"] == "hermiticity"
+
+    def test_negated_overflowing_channel_fails_cp(self, capsys, tmp_path):
+        # the CP floor of a Choi matrix whose norm is not a float is taken on
+        # J / max|J|; the least eigenvalue, -2e308, prints as null
+        path = tmp_path / "big.json"
+        save_choi(str(path), ChoiMap((2,), (2,), -1e308 * cup_state(2).astype(complex),
+                                     validate=False))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")     # a process prints these on stderr
+            code = main(["morphism", "FO(2)", "FO(2)", str(path)])
+        out, err = capsys.readouterr()
+        doc = strict_json(out)
+        assert code == 1 and err == "" and caught == []
+        assert doc == {"verdict": False, "reason": "cp", "residual": None}
 
     def test_overflowing_channel_fails_affine(self, capsys, tmp_path):
         # the scaled identity is CP but not trace preserving; its push

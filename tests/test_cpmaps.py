@@ -237,8 +237,8 @@ def test_signalling_sits_below_the_type_layer():
 
 
 def _count_gate_and_spectrum(monkeypatch) -> dict:
-    """Count the Hermiticity gates and the spectra that numpy computes."""
-    calls = {"check_hermitian": 0, "eigvalsh": 0}
+    """Count the Hermiticity gates, the Cholesky certificates and the spectra."""
+    calls = {"check_hermitian": 0, "cholesky": 0, "min_eig": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -249,7 +249,8 @@ def _count_gate_and_spectrum(monkeypatch) -> dict:
     gate = counted("check_hermitian", hermspace.check_hermitian)
     for module in (cpmaps, hermspace):      # psd_check gates through hermspace's
         monkeypatch.setattr(module, "check_hermitian", gate)
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
+    monkeypatch.setattr(hermspace, "min_eig", counted("min_eig", hermspace.min_eig))
     return calls
 
 
@@ -305,12 +306,15 @@ class TestChoiForms:
             ChoiMap((2,), (2,), np.eye(3))
 
     def test_validation_gates_and_diagonalises_once(self, monkeypatch):
-        # one Hermiticity gate and one spectrum decide and report a non-PSD J
+        # one Hermiticity gate and one failed certificate, then one spectrum
+        # decides and reports a non-PSD J; a PSD J needs no spectrum
         bad = -cup_state(2)
         calls = _count_gate_and_spectrum(monkeypatch)
         with pytest.raises(InconsistencyError, match="min eig -2"):
             ChoiMap((2,), (2,), bad)
-        assert calls == {"check_hermitian": 1, "eigvalsh": 1}
+        assert calls == {"check_hermitian": 1, "cholesky": 1, "min_eig": 1}
+        ChoiMap((2,), (2,), -bad)
+        assert calls == {"check_hermitian": 2, "cholesky": 2, "min_eig": 1}
 
 
 class TestComposition:
@@ -562,7 +566,7 @@ class TestCtrl:
         branches = [np.diag([1.0, 0.0]), np.full((2, 2), 0.5), np.eye(2) / 2]
         calls = _count_gate_and_spectrum(monkeypatch)
         ctrl(branches)
-        assert calls == {"check_hermitian": 3, "eigvalsh": 3}
+        assert calls == {"check_hermitian": 3, "cholesky": 3, "min_eig": 0}
 
     def test_classical_object(self):
         # the control register of ctrl is the classical type CLA(n)

@@ -34,8 +34,10 @@ from caustyk.hermspace import (
     matricize,
     min_eig,
     psd_check,
+    psd_test,
     vec_identity,
 )
+from caustyk.tolerances import magnitude, within
 
 
 def slow_basis(n):
@@ -236,6 +238,69 @@ class TestPsd:
     def test_invalid_dim(self):
         with pytest.raises(InvalidDimensionError):
             check_dimension(0)
+
+
+ORACLE_SCALES = {"entry": lambda x: float(np.max(np.abs(x))), "frobenius": magnitude,
+                 "unit": lambda x: 1.0}
+
+
+def near_floor(rng, n, kind, tol, depth, size):
+    """A Hermitian matrix whose least eigenvalue is ``-depth`` times its own
+    floor ``tol * max(scale, 1)``; the other eigenvalues lie in [0.1, 1] * size."""
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    u = np.linalg.qr(g)[0]
+    w = size * rng.uniform(0.1, 1.0, n)
+    w[0] = 0.0
+    a = (u * w) @ u.conj().T
+    floor = tol * max(ORACLE_SCALES[kind](a), 1.0)
+    return a - depth * floor * np.outer(u[:, 0], u[:, 0].conj())
+
+
+class TestPsdGate:
+    """psd_test decides as the spectrum does: within(-min_eig(x), tol, scale)."""
+
+    @pytest.mark.parametrize("kind", sorted(ORACLE_SCALES))
+    @pytest.mark.parametrize("tol", [1e-9, 1e-6])
+    def test_agrees_with_the_spectrum_near_the_floor(self, kind, tol):
+        rng = np.random.default_rng(41)
+        for n in (2, 3, 4, 7, 16, 32, 81):
+            for size in (0.3, 30.0):
+                for depth in (0.5, 0.999, 1.001, 2.0):
+                    x = near_floor(rng, n, kind, tol, depth, size)
+                    want = within(-min_eig(x), tol, ORACLE_SCALES[kind](x))
+                    assert want == (depth < 1)
+                    assert psd_test(x, tol, kind)[1] == want, (n, size, depth)
+
+    @pytest.mark.parametrize("kind", sorted(ORACLE_SCALES))
+    @pytest.mark.parametrize("name, mat, psd", [
+        ("zero", np.zeros((2, 2)), True),
+        ("diag", np.diag([1e308, 1e308]), True),
+        ("+1e308 cup", 1e308 * np.outer(np.eye(2).ravel(), np.eye(2).ravel()), True),
+        ("-1e308 cup", -1e308 * np.outer(np.eye(2).ravel(), np.eye(2).ravel()), False),
+        ("-1e300 cup", -1e300 * np.outer(np.eye(2).ravel(), np.eye(2).ravel()), False),
+    ])
+    def test_extreme_matrices(self, kind, name, mat, psd):
+        # where the spectrum's bound is finite the gate agrees with it; where
+        # it overflows (|cup| = 2e308) the gate decides on mat / max|mat|
+        with np.errstate(over="ignore", invalid="ignore"):
+            low, got = psd_test(mat, 1e-9, kind, report=True)
+            scale = ORACLE_SCALES[kind](mat)
+        assert got is psd and low == min_eig(mat)
+        if np.isfinite(1e-9 * max(scale, 1.0)):
+            assert within(-min_eig(mat), 1e-9, scale) is psd
+
+    @pytest.mark.parametrize("depth", [0.5, 2.0])
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_adjoint_and_layout_change_nothing(self, depth, layout):
+        # the floor goes on the diagonal whatever the memory layout, and
+        # neither the matrix nor a given adjoint is written
+        rng = np.random.default_rng(8)
+        x = np.asarray(near_floor(rng, 5, "frobenius", 1e-9, depth, 1.0), order=layout)
+        keep, adj = x.copy(), np.asarray(x.conj().T, order=layout)
+        got = psd_test(x, 1e-9, "frobenius", adjoint=adj)
+        assert np.array_equal(got, psd_test(x, 1e-9, "frobenius"), equal_nan=True)
+        assert got[1] is (depth < 1)
+        assert np.array_equal(x, keep) and np.array_equal(adj, keep.conj().T)
 
 
 def linear_span(mats):

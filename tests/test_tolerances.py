@@ -1,4 +1,5 @@
-"""The one decision rule, and a guard that every tolerance gate goes through it."""
+"""The one decision rule, and guards that every tolerance gate goes through it
+and that positivity is decided in ``hermspace.psd_test`` alone."""
 
 import ast
 from pathlib import Path
@@ -16,7 +17,6 @@ SRC = Path(caustyk.__file__).parent
 ALLOWED = {
     ("cpmaps", "stinespring"): (1, "keep mask: the Choi eigenvalues that become Kraus operators"),
     ("cpmaps", "support_projector"): (1, "rank cut: the eigenvectors that span the support"),
-    ("signalling", "comb_decompose"): (1, "inverse cut: the env-marginal eigenvalues inverted"),
     ("hermspace", "_orthonormalize"): (1, "rank cut of a constructor only tests and the tracer use"),
     ("hermspace", "from_constraints"): (2, "rank cut and consistency gate, as above"),
     ("hermspace", "intersect_linear"): (2, "consistency gate and rank cut, as above"),
@@ -129,6 +129,61 @@ def test_guard_sees_the_idioms_it_replaces():
            "    tol = TOLS.sub if tol is None else tol\n"
            "    return within(x, tol)\n")
     assert tolerance_compares(src) == {"f": [2], "g": [5, 5], "h": [7]}
+
+
+def _spectral(node, names) -> bool:
+    """Whether ``node`` calls ``min_eig`` or reads one of ``names``."""
+    return any((isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+                and sub.func.id == "min_eig")
+               or (isinstance(sub, ast.Name) and sub.id in names)
+               for sub in ast.walk(node))
+
+
+def positivity_decisions(source: str) -> dict:
+    """Per function, the lines that decide positivity themselves: a call of
+    ``cholesky`` or ``eigvalsh``, or a ``within`` whose value is computed
+    from ``min_eig`` (directly or through local names)."""
+    found = {}
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        nodes = list(_own_nodes(fn))
+        tainted, grew = set(), True
+        while grew:
+            grew = False
+            for node in nodes:
+                for name, value in _assigned(node):
+                    if name not in tainted and _spectral(value, tainted):
+                        tainted.add(name)
+                        grew = True
+        for node in nodes:
+            if not isinstance(node, ast.Call):
+                continue
+            called = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if called in ("cholesky", "eigvalsh") or (
+                    called == "within" and node.args and _spectral(node.args[0], tainted)):
+                found.setdefault(fn.name, []).append(node.lineno)
+    return {fn: sorted(lines) for fn, lines in found.items()}
+
+
+def test_positivity_is_decided_in_hermspace_only():
+    flagged = [f"{path.name}:{fn} lines {lines}"
+               for path in sorted(SRC.glob("*.py")) if path.stem != "hermspace"
+               for fn, lines in positivity_decisions(path.read_text(encoding="utf-8")).items()]
+    assert flagged == [], "decide positivity through hermspace.psd_test"
+
+
+def test_positivity_guard_sees_the_idioms_it_replaces():
+    src = ("def f(h, j):\n"
+           "    np.linalg.cholesky(h)\n"
+           "    me = min_eig(j)\n"
+           "    return within(-me, 1e-9) and within(-min_eig(h), 1e-9)\n"
+           "def g(j):\n"
+           "    return np.linalg.eigvalsh(j)[0]\n"
+           "def ok(j):\n"
+           "    low, psd = psd_test(j)\n"
+           "    return psd and within(abs(low), 1.0) and min_eig(j) < 0\n")
+    assert positivity_decisions(src) == {"f": [2, 4, 4], "g": [6]}
 
 
 class TestWithin:
