@@ -5,6 +5,13 @@ multipartite) Hermitian matrix space, together with the dual hull of
 effects pairing to one against every state. All constructors below keep
 both hulls flat (they contain a positive multiple of the identity) and
 closed under double dualization, which is what makes them compose.
+
+A map ``f: A -> B`` is a map of types when it is completely positive and
+sends ``aff(A)`` into ``aff(B)``. :func:`check_morphism` decides the latter
+by pulling ``B``'s constraint rows back through the adjoint of ``f`` and
+reading them at ``A``'s affine points; its hull residual is the largest
+constraint residual at a source affine point over one scale,
+``max(1, lam_A |Tr_in J|)``.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from .errors import (FlatnessError, HermiticityError, InvalidDimensionError,
 from .hermspace import (AffineSubspace, check_hermitian, coords_to_herm,
                         herm_to_coords, kron_rows, matricize, psd_test,
                         vec_identity)
-from .tolerances import TOLS, magnitude, within
+from .tolerances import TOLS, check_tol, magnitude, within
 
 
 def _wire_dims(dims) -> tuple[int, ...]:
@@ -270,19 +277,38 @@ def membership_report(obj: CausObject, mat: np.ndarray,
     }
 
 
+def _pull_back(f: ChoiMap, rows: np.ndarray) -> np.ndarray:
+    """Coordinate rows ``c_j`` on the output of ``f``, pulled back through its
+    adjoint to rows ``N_j`` on its input: ``N_j . x = c_j . f(x)`` for every
+    Hermitian ``x``, in coordinates.
+
+    With ``f(rho)[t, u] = sum_{s, v} J[(t, s), (u, v)] rho[s, v]``, the adjoint
+    is ``f^dagger(C)[v, s] = sum_{t, u} C[u, t] J[(t, s), (u, v)]``: one GEMM
+    of the rows, as matrices, against ``J`` reordered to ``[(u, t), (v, s)]``.
+    """
+    di, do = f.d_in, f.d_out
+    mats = coords_to_herm(rows, do).reshape(-1, do * do)
+    pull = f.J.reshape(do, di, do, di).transpose(2, 0, 3, 1).reshape(do * do, di * di)
+    return herm_to_coords((mats @ pull).reshape(-1, di, di))
+
+
 # entries near the float limit overflow the measurements, not the verdict
 @np.errstate(over="ignore", invalid="ignore")
 def check_morphism(f: ChoiMap, a: CausObject, b: CausObject,
                    tol: float | None = None) -> CausMorphism:
-    """Validate ``f`` as a map of types; each kind of failure reports separately."""
-    tol = TOLS.sub if tol is None else tol
+    """Validate ``f`` as a map of types; each kind of failure reports separately.
+
+    The hull half reads ``b``'s constraint rows, pulled back through ``f``
+    (:func:`_pull_back`), at ``a``'s affine points; its one scale is the norm
+    of ``f(lam_A I)``, the image of the source's flat point.
+    """
+    tol = TOLS.sub if tol is None else check_tol(tol)
     adj = f.J.conj().T          # the one adjoint: both gates below read it
     try:
         check_hermitian(f.J, tol, adjoint=adj)
     except HermiticityError as err:
-        defect = float(np.max(np.abs(f.J - adj)))
         raise MorphismError(f"map is not Hermiticity preserving: {err}",
-                            reason="hermiticity", residual=defect) from None
+                            reason="hermiticity", residual=err.deviation) from None
     if f.d_in != a.dim or f.d_out != b.dim:
         raise ShapeMismatchError(
             f"map has shape {f.d_in}->{f.d_out}, types have {a.dim}->{b.dim}")
@@ -290,15 +316,16 @@ def check_morphism(f: ChoiMap, a: CausObject, b: CausObject,
     if not cp:
         raise MorphismError(f"map is not completely positive (min Choi eigenvalue {me:.3e})",
                             reason="cp", residual=-me)
-    di, do = f.d_in, f.d_out
-    mats = coords_to_herm(a.states.affine_points(), di)
-    # Phi(rho)[t, u] = sum_{s, v} J[(t, s), (u, v)] rho[s, v]: one GEMM for all points
-    push = f.J.reshape(do, di, do, di).transpose(1, 3, 0, 2).reshape(di * di, do * do)
-    outs = (mats.reshape(-1, di * di) @ push).reshape(-1, do, do)
-    coords = herm_to_coords(outs)
-    dists = b.states.distances(coords)
-    scales = np.maximum(1.0, magnitude(coords, axis=1))
-    worst = float(np.max(dists / scales)) if dists.size else 0.0
+    cons, vals = b.states.cons_rows()
+    resid = a.states.affine_points() @ _pull_back(f, cons).T - vals
+    # the flat image lam_A Tr_in J; where its sum overflows it is taken again in
+    # units of J's largest entry, so that the scale stays finite
+    j4 = f.J.reshape(f.d_out, f.d_in, f.d_out, f.d_in)
+    unit, flat = 1.0, a.flat_lambda * magnitude(np.einsum("tsus->tu", j4))
+    if math.isinf(flat):
+        unit = float(np.max(np.abs(f.J)))
+        flat = a.flat_lambda * magnitude(np.einsum("tsus->tu", j4 / unit))
+    worst = float(magnitude(resid, axis=1).max()) / unit / max(flat, 1.0 / unit)
     if not within(worst, tol):
         raise MorphismError(
             f"map sends some source states off the target hull "

@@ -30,6 +30,7 @@ from .io import (choi_from_json, choi_to_json, complex_to_json, load_choi,
 from .sampling import rng_from
 from .signalling import (coend_equiv, comb_decompose,
                          equiv_certificate, nonsignalling_test)
+from .tolerances import check_tol
 
 
 def _emit(doc: dict, indent: int | None = 2) -> None:
@@ -100,7 +101,6 @@ def _cmd_typeinfo(args) -> int:
         "state_rank": int(obj.states.rank()),
         "effect_rank": int(obj.effects.rank()),
         "flat_lambda": float(obj.flat_lambda),
-        "alpha": float(obj.flat_lambda),
     })
     return 0
 
@@ -369,8 +369,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if not 0.0 <= (getattr(args, "tol", None) or 0.0) < math.inf:     # unset passes
-            raise ValueError(f"--tol must be a finite number >= 0, got {args.tol!r}")
+        check_tol(getattr(args, "tol", None), "--tol")
         # entries near the float limit overflow measurements, not verdicts
         with np.errstate(over="ignore", invalid="ignore"):
             code = args.fn(args)

@@ -32,7 +32,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .hermspace import check_hermitian, psd_check, psd_test
-from .tolerances import TOLS, magnitude, within
+from .tolerances import TOLS, check_tol, magnitude, within
 
 
 def _check_dims(dims) -> tuple[int, ...]:
@@ -179,7 +179,8 @@ class ChoiMap:
         return magnitude(marg - np.eye(self.d_in))
 
     def is_trace_preserving(self, tol: float | None = None) -> bool:
-        return within(self.trace_defect(), TOLS.psd if tol is None else tol, self.d_in)
+        return within(self.trace_defect(), TOLS.psd if tol is None else check_tol(tol),
+                      self.d_in)
 
     def is_cptp(self, tol: float | None = None) -> bool:
         return psd_check(self.J, tol) and self.is_trace_preserving(tol)

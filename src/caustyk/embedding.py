@@ -32,7 +32,7 @@ from .sampling import (random_coarse_graining, random_decomp_pair,
                        sample_member)
 from .signalling import (DecompPair, coend_equiv, comb_decompose, party_choi,
                          party_name, recompose)
-from .tolerances import TOLS, magnitude, within
+from .tolerances import TOLS, check_tol, magnitude, within
 
 # contract tolerances of the audited laws, as multiples of the pack's base
 FUNCTOR_TOL = TOLS.sub / 10
@@ -306,7 +306,7 @@ def fullness_reconstruct(S: BlackBoxTransform, a: CausObject, b: CausObject,
     with the transformer at some other boundary means it was not natural,
     and the probe is returned as evidence.
     """
-    tol = AGREE_TOL if tol is None else tol
+    tol = AGREE_TOL if tol is None else check_tol(tol)
     rng = rng_from(0 if rng is None else rng)
     alpha = a.flat_lambda
     u, allo = mk_unit(), mk_all_states(a)

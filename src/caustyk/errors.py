@@ -15,7 +15,12 @@ class InvalidDimensionError(CaustykError, ValueError):
 
 
 class HermiticityError(CaustykError, ValueError):
-    """A matrix violated the Hermiticity tolerance."""
+    """A matrix violated the Hermiticity tolerance; ``deviation`` is the
+    largest entry of ``mat - mat^dagger`` that was measured."""
+
+    def __init__(self, message: str, deviation: float = 0.0):
+        super().__init__(message)
+        self.deviation = deviation
 
 
 class ShapeMismatchError(CaustykError, ValueError):

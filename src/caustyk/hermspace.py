@@ -55,7 +55,7 @@ from .errors import (
     InvalidDimensionError,
     ShapeMismatchError,
 )
-from .tolerances import TOLS, magnitude, within
+from .tolerances import TOLS, check_tol, magnitude, within
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -78,11 +78,11 @@ def check_hermitian(mat: np.ndarray, tol: float | None = None,
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ShapeMismatchError(f"expected a square matrix, got shape {mat.shape}")
-    tol = TOLS.herm if tol is None else max(TOLS.herm, tol)
+    tol = TOLS.herm if tol is None else max(TOLS.herm, check_tol(tol))
     adjoint = mat.conj().T if adjoint is None else adjoint
     dev = float(np.max(np.abs(mat - adjoint), initial=0.0))
     if not within(dev, tol, _largest(mat)):
-        raise HermiticityError(f"matrix deviates from Hermiticity by {dev:.3e}")
+        raise HermiticityError(f"matrix deviates from Hermiticity by {dev:.3e}", dev)
     if dim is not None and mat.shape[0] != dim:
         raise ShapeMismatchError(f"matrix of dim {mat.shape[0]} where dim {dim} is expected")
     return mat
@@ -459,7 +459,8 @@ class AffineSubspace:
         return magnitude(y, axis=1)
 
     def contains_vec(self, x: np.ndarray, tol: float | None = None) -> bool:
-        return within(self.distance(x), TOLS.sub if tol is None else tol, magnitude(x))
+        return within(self.distance(x), TOLS.sub if tol is None else check_tol(tol),
+                      magnitude(x))
 
     def contains(self, mat: np.ndarray, tol: float | None = None) -> bool:
         mat = check_hermitian(mat, TOLS.sub if tol is None else tol, dim=self.matrix_dim)

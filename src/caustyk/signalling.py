@@ -19,7 +19,7 @@ from .cpmaps import (ChoiMap, Isometry, act_on_factors, choi_of_kraus,
 from .errors import (HermiticityError, InconsistencyError, NoIsometryError,
                      NotOneWayError, ShapeMismatchError)
 from .hermspace import check_hermitian, min_eig, psd_test
-from .tolerances import TOLS, magnitude, within
+from .tolerances import TOLS, check_tol, magnitude, within
 
 
 class SignalVerdict(enum.Enum):
@@ -73,7 +73,7 @@ def _steering(marg: ChoiMap, split: int, probe_right: bool) -> tuple[float, np.n
 def nonsignalling_test(cm: ChoiMap, n_out_a: int, n_in_a: int,
                        tol: float | None = None) -> SignalVerdict:
     """Which directions of influence a two-party channel admits."""
-    tol = max(TOLS.sub, tol or 0.0) * 10
+    tol = max(TOLS.sub, check_tol(tol) or 0.0) * 10
     if not cm.is_cptp():
         raise InconsistencyError(
             "signalling verdicts are defined for CPTP maps only "
@@ -155,7 +155,7 @@ def comb_decompose(tau: ChoiMap, n_out_a: int, n_in_a: int,
     recomposition residual above the decomposition tolerance rejects the
     input as not one-way.
     """
-    tol = TOLS.decomp if tol is None else tol
+    tol = TOLS.decomp if tol is None else check_tol(tol)
     if not (0 < n_out_a <= len(tau.out_dims)) or not (0 <= n_in_a <= len(tau.in_dims)):
         raise ShapeMismatchError("party cut exceeds the factor lists")
     a_out = tau.out_dims[:n_out_a]
@@ -215,7 +215,7 @@ def comb_decompose(tau: ChoiMap, n_out_a: int, n_in_a: int,
 
 def coend_equiv(p1: DecompPair, p2: DecompPair, tol: float | None = None) -> bool:
     """Do two decompositions present the same channel?"""
-    tol = max(TOLS.roundtrip, tol or 0.0)
+    tol = max(TOLS.roundtrip, check_tol(tol) or 0.0)
     j1 = recompose(p1).J
     j2 = recompose(p2).J
     if j1.shape != j2.shape:
@@ -297,7 +297,7 @@ def equiv_certificate(p1: DecompPair, p2: DecompPair,
     recomposed channel; failure to find a chain never contradicts
     :func:`coend_equiv`, it is reported as unavailable.
     """
-    tol = max(TOLS.slide, tol or 0.0)
+    tol = max(TOLS.slide, check_tol(tol) or 0.0)
     if not coend_equiv(p1, p2):
         return Certificate(ok=False, steps=[],
                            reason="decompositions present different channels")

@@ -51,6 +51,17 @@ class Tolerances:
 _BASE = Tolerances.sub      # fields at the base (psd, sub) scale to CAUSTYK_TOL exactly
 
 
+def check_tol(tol: float | None, name: str = "tol") -> float | None:
+    """``tol`` itself if it is unset or a finite number >= 0; else a
+    ``ValueError`` naming it. Every public function that takes a per-call
+    ``tol`` passes it here before reading it, and so does the CLI's ``--tol``.
+    ``CAUSTYK_TOL`` is checked where it is read: it must also be positive,
+    since the other fields scale with it."""
+    if tol is not None and not 0.0 <= tol < math.inf:     # NaN fails both
+        raise ValueError(f"{name} must be a finite number >= 0, got {tol!r}")
+    return tol
+
+
 def _from_env() -> Tolerances:
     raw = os.environ.get("CAUSTYK_TOL")
     if raw is None:

@@ -20,11 +20,12 @@ from caustyk.causobj import (CausMorphism, CausObject, check_morphism, choi_of_s
 from caustyk.cpmaps import ChoiMap, choi_of_kraus, permute_factors, structural
 from caustyk.errors import (FlatnessError, HermiticityError, InvalidDimensionError,
                             MorphismError, ShapeMismatchError)
-from caustyk import hermspace
+from caustyk import causobj, hermspace
 from caustyk.hermspace import (AffineSubspace, check_hermitian, coords_to_herm,
                                herm_to_coords, min_eig, psd_check)
-from caustyk.sampling import sample_member
-from caustyk.tolerances import TOLS
+from caustyk.sampling import (random_channel_supermap, random_comb_relaxation,
+                              sample_member)
+from caustyk.tolerances import TOLS, magnitude
 
 
 def random_cptp(rng, din, dout, env=None):
@@ -594,9 +595,11 @@ class TestMorphisms:
             assert not member(mk_first_order(2), 1e300 * np.eye(2))
 
     @pytest.mark.parametrize("case", ["FO(2)->FO(3)", "chan->[FO(2),FO(3)]"])
-    def test_pushed_points_match_apply(self, chan, case, monkeypatch):
-        # the points check_morphism measures against the target hull are the
-        # source's affine points sent through ChoiMap.apply, with d_in != d_out
+    def test_pulled_rows_match_apply(self, chan, case, monkeypatch):
+        # the rows check_morphism evaluates at the source's affine points are
+        # the target's constraint rows pulled back through the map: each reads
+        # at a point what its target row reads on ChoiMap.apply of it, d_in !=
+        # d_out; off the source hull too, where a row's transpose would show
         rng = np.random.default_rng(31)
         fo2, fo3 = mk_first_order(2), mk_first_order(3)
         if case == "FO(2)->FO(3)":
@@ -604,16 +607,23 @@ class TestMorphisms:
         else:
             a, b = chan, hom_obj(fo2, fo3)
             f = structural("identity", 2).tensor(random_cptp(rng, 2, 3))
-        seen = []
-        measure = b.states.distances
-        monkeypatch.setattr(b.states, "distances",
-                            lambda xs: seen.append(xs) or measure(xs))
+        seen, pull = [], causobj._pull_back
+
+        def spy(g, rows):
+            seen.append((g, rows, pull(g, rows)))
+            return seen[-1][2]
+
+        monkeypatch.setattr(causobj, "_pull_back", spy)
         check_morphism(f, a, b)
-        points = coords_to_herm(a.states.affine_points(), a.dim)
-        want = herm_to_coords(np.stack([f.apply(p) for p in points]))
-        (got,) = seen
-        assert got.shape == want.shape == (a.states.rank() + 1, b.dim * b.dim)
-        assert np.max(np.abs(got - want)) < 1e-12
+        ((g, rows, got),) = seen
+        cons, _ = b.states.cons_rows()
+        assert g is f and rows is cons
+        points = a.states.affine_points()
+        assert points.shape == (a.states.rank() + 1, a.dim * a.dim)
+        points = np.vstack([points, rng.normal(size=(4, a.dim * a.dim))])
+        images = herm_to_coords(np.stack([f.apply(p) for p in coords_to_herm(points, a.dim)]))
+        assert got.shape == (len(cons), a.dim * a.dim)
+        assert np.max(np.abs(points @ got.T - images @ cons.T)) < 1e-12
 
     def test_channel_type_morphism(self, rng, chan):
         # conjugating a channel name by a local output unitary is a type map
@@ -622,6 +632,87 @@ class TestMorphisms:
         post = choi_of_kraus([u], 2, 2)
         f = structural("identity", 2).tensor(post)
         check_morphism(f, chan, chan)
+
+
+def push_distances(f: ChoiMap, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """The push, the reference the pull-back is held to: every affine point
+    of ``a`` sent through ``f.apply``; the distance of each image to ``b``'s
+    hull, and the norm of each image."""
+    mats = coords_to_herm(a.states.affine_points(), a.dim)
+    images = herm_to_coords(np.stack([f.apply(m) for m in mats]))
+    return b.states.distances(images), magnitude(images, axis=1)
+
+
+def push_residual(f: ChoiMap, a, b) -> float:
+    """The affine residual by the push: each distance over its image's norm."""
+    dists, norms = push_distances(f, a, b)
+    return float(np.max(dists / np.maximum(1.0, norms)))
+
+
+class TestPullBackAgainstPush:
+    """Seeded maps on either side of the affine threshold get the verdict the
+    push oracle gives them, and a rejected one the push's largest distance
+    over the norm of the image of the source's flat point."""
+
+    @staticmethod
+    def _morphism(rng, case, chan):
+        fo2, fo3 = mk_first_order(2), mk_first_order(3)
+        if case == "chan->chan":
+            return random_channel_supermap(rng, chan, chan)
+        if case == "FO(2)->FO(3)":
+            return CausMorphism(random_cptp(rng, 2, 3), fo2, fo3)
+        if case == "chan->[FO(2),FO(3)]":
+            f = structural("identity", 2).tensor(random_cptp(rng, 2, 3))
+            return CausMorphism(f, chan, hom_obj(fo2, fo3))
+        return random_comb_relaxation(rng, seq_obj(chan, chan), par_obj(chan, chan))
+
+    @pytest.mark.parametrize("case", ["chan->chan", "FO(2)->FO(3)", "chan->[FO(2),FO(3)]",
+                                      "seq(chan,chan)->par(chan,chan)"])
+    def test_verdicts_match_push_oracle(self, chan, case):
+        rng = np.random.default_rng(41)
+        for _ in range(3):
+            m = self._morphism(rng, case, chan)
+            a, b, f = m.source, m.target, m.map
+            # a CP map off the target hull; the mixture's residual grows with
+            # its weight, so the threshold weight is read off a small one
+            kraus = rng.normal(size=(2, b.dim, a.dim)) + 1j * rng.normal(size=(2, b.dim, a.dim))
+            g = choi_of_kraus(list(kraus / np.linalg.norm(kraus)), a.dim, b.dim).J
+
+            def mix(w):
+                return ChoiMap(f.out_dims, f.in_dims, (1 - w) * f.J + w * g, validate=False)
+
+            unit = push_residual(mix(1e-4), a, b) / 1e-4
+            for ratio in (0.5, 2.0):
+                h = mix(ratio * TOLS.sub / unit)
+                want = push_residual(h, a, b) <= TOLS.sub
+                assert want is (ratio < 1)
+                try:
+                    check_morphism(h, a, b)
+                    got = True
+                except MorphismError as err:
+                    assert err.reason == "affine"
+                    flat = np.linalg.norm(h.apply(a.flat_lambda * np.eye(a.dim)))
+                    assert err.residual * max(1.0, flat) == pytest.approx(
+                        np.max(push_distances(h, a, b)[0]), rel=1e-6)
+                    got = False
+                assert got is want, (case, ratio)
+
+    @pytest.mark.parametrize("d, scale, form", [(2, 1e308, "eye"), (2, 5e307, "eye"),
+                                                (3, 1e307, "eye"), (2, 1e308, "cup")])
+    def test_float_limit_matches_push_oracle(self, d, scale, form):
+        # Tr_in J overflows for 1e308 I, and the other maps stay just below the
+        # limit; the hull residual must still be the push's, not a finite
+        # residual over an infinite scale
+        J = scale * (np.eye(d * d) if form == "eye" else cup_state(d))
+        f = ChoiMap((d,), (d,), J.astype(complex), validate=False)
+        fo = mk_first_order(d)
+        with np.errstate(over="ignore"):
+            want = push_residual(f, fo, fo)
+            with pytest.raises(MorphismError) as err:
+                check_morphism(f, fo, fo)
+        assert want > TOLS.sub
+        assert err.value.reason == "affine"
+        assert err.value.residual == pytest.approx(want, rel=1e-12)
 
 
 class TestAlpha:

@@ -186,8 +186,8 @@ class TestTypeinfo:
         assert code == 0
         assert doc["dim"] == 2
         assert doc["first_order"] is True
-        assert doc["alpha"] == pytest.approx(0.5)
         assert doc["flat_lambda"] == pytest.approx(0.5)
+        assert "alpha" not in doc
 
     def test_channel_hom(self, capsys):
         code, doc = run(capsys, "typeinfo", "[FO(2),FO(2)]")
@@ -323,8 +323,9 @@ class TestMorphism:
         assert doc == {"verdict": False, "reason": "cp", "residual": None}
 
     def test_overflowing_channel_fails_affine(self, capsys, tmp_path):
-        # the scaled identity is CP but not trace preserving; its push
-        # overflows to NaN, which must fail the hull test, not slip past it
+        # the scaled identity is CP but not trace preserving; its hull residual
+        # is measured near the float limit and must fail the hull test, not
+        # slip past it
         path = tmp_path / "big.json"
         save_choi(str(path), ChoiMap((2,), (2,), 1e308 * cup_state(2).astype(complex),
                                      validate=False))
@@ -339,6 +340,21 @@ class TestMorphism:
         doc = json.loads(out, parse_constant=reject)
         assert code == 1 and err == "" and caught == []
         assert doc["verdict"] is False and doc["reason"] == "affine"
+
+    def test_overflowing_trace_fails_affine(self, capsys, tmp_path):
+        # each entry of Tr_in J is 2e308, past the float limit, while the
+        # constraint residuals are not: the hull scale must stay finite
+        path = tmp_path / "big.json"
+        save_choi(str(path), ChoiMap((2,), (2,), 1e308 * np.eye(4, dtype=complex),
+                                     validate=False))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["morphism", "FO(2)", "FO(2)", str(path)])
+        out, err = capsys.readouterr()
+        doc = json.loads(out)
+        assert code == 1 and err == "" and caught == []
+        assert doc["verdict"] is False and doc["reason"] == "affine"
+        assert doc["residual"] == pytest.approx(1.0)
 
 
 HOMS = "[FO(2),FO(2)]"

@@ -139,8 +139,9 @@ class TestCoordinateMap:
         np.testing.assert_allclose(coords_to_herm(v, 2), np.eye(2), atol=1e-14)
 
     def test_non_hermitian_rejected(self):
-        with pytest.raises(HermiticityError):
+        with pytest.raises(HermiticityError) as err:
             check_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        assert err.value.deviation == 1.0      # the measured defect travels with it
         with pytest.raises(HermiticityError):
             check_hermitian(np.diag([1.0, np.nan]))
 
